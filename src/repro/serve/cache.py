@@ -61,6 +61,10 @@ class EdgeCache:
 
     capacity_mb: float
     entries: Dict[int, CacheEntry] = field(default_factory=dict)
+    # Running occupancy; ``None`` once an eviction has invalidated it.
+    _used_mb: Optional[float] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.capacity_mb <= 0:
@@ -68,8 +72,21 @@ class EdgeCache:
 
     @property
     def used_mb(self) -> float:
-        """Bytes currently held."""
-        return sum(entry.size_mb for entry in self.entries.values())
+        """Bytes currently held.
+
+        Always the left-to-right float sum of the entry sizes in
+        insertion order.  ``store`` extends the running total by one
+        term, which keeps that order; ``evict`` drops the total and the
+        next read re-adds the survivors from the first.  Subtracting
+        the evicted size instead would round differently.
+        """
+        used = self._used_mb
+        if used is None:
+            used = 0.0
+            for entry in self.entries.values():
+                used += entry.size_mb
+            self._used_mb = used
+        return used
 
     @property
     def free_mb(self) -> float:
@@ -90,7 +107,7 @@ class EdgeCache:
 
     def has_room(self, size_mb: float) -> bool:
         """Whether ``size_mb`` fits without eviction."""
-        return size_mb <= self.free_mb + 1e-9
+        return size_mb <= self.capacity_mb - self.used_mb + 1e-9
 
     def fits(self, size_mb: float) -> bool:
         """Whether ``size_mb`` could ever fit (capacity bound)."""
@@ -110,6 +127,7 @@ class EdgeCache:
         entry = CacheEntry(
             content=content, size_mb=size_mb, fetched_at=t, last_used=t
         )
+        self._used_mb = self.used_mb + size_mb
         self.entries[content] = entry
         return entry
 
@@ -118,4 +136,5 @@ class EdgeCache:
         entry = self.entries.pop(content, None)
         if entry is None:
             raise KeyError(f"content {content} is not cached")
+        self._used_mb = None
         return entry

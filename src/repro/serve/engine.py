@@ -419,6 +419,7 @@ def _replay_edp_stream(
         if warmup == 0:
             stats.backhaul_mb += warm_mb
 
+    lookup = cache.entries.get
     faults = active_fault_plan()
     n_chunks = stream.n_chunks(chunk_slots)
     for chunk_index in range(start_chunk, n_chunks):
@@ -435,17 +436,19 @@ def _replay_edp_stream(
             measured = slot >= warmup
             t = (slot + 0.5) * dt
             counts = chunk.counts[local_slot]
-            nonzero = np.nonzero(counts)[0]
+            nonzero = np.flatnonzero(counts)
             if nonzero.size == 0:
                 continue
             policy_rng = stream.policy_rng(edp, slot)
             if measured:
                 stats.requests += int(counts.sum())
                 stats.revenue += float(counts @ revenue_tbl[slot])
-            for k in nonzero:
-                k = int(k)
-                c = int(counts[k])
-                entry = cache.lookup(k)
+            # Native ints for the cell loop: numpy scalar conversions
+            # per cell cost more than the bookkeeping they feed.
+            slot_counts = counts.tolist()
+            for k in nonzero.tolist():
+                c = slot_counts[k]
+                entry = lookup(k)
                 if entry is None:
                     # Miss: served from the cloud, fresh.  One admission
                     # decision per missed batch; victims leave until the

@@ -48,7 +48,11 @@ import numpy as np
 
 from repro.core.equilibrium import EquilibriumResult
 from repro.serve.cache import EdgeCache
-from repro.serve.policies import MFGPolicyAdapter
+from repro.serve.policies import (
+    MFGPolicyAdapter,
+    DecisionRows,
+    lowest_score_victim,
+)
 
 STRATEGY_NAMES = ("lce", "lcd", "probcache", "edge", "mfg")
 
@@ -197,7 +201,7 @@ class ProbCacheStrategy(PlacementStrategy):
 
 
 @dataclass
-class MFGNetworkStrategy(PlacementStrategy):
+class MFGNetworkStrategy(DecisionRows, PlacementStrategy):
     """Equilibrium-driven on-path placement.
 
     Attributes
@@ -214,6 +218,7 @@ class MFGNetworkStrategy(PlacementStrategy):
     score: np.ndarray
 
     name = "mfg"
+    _row_tables = ("rate", "score")
 
     def __post_init__(self) -> None:
         self.rate = np.asarray(self.rate, dtype=float)
@@ -226,6 +231,7 @@ class MFGNetworkStrategy(PlacementStrategy):
         if np.any(self.rate < -1e-9) or np.any(self.rate > 1.0 + 1e-9):
             raise ValueError("admission rates must lie in [0, 1]")
         self.rate = np.clip(self.rate, 0.0, 1.0)
+        self._build_rows()
 
     @classmethod
     def from_equilibria(
@@ -257,17 +263,14 @@ class MFGNetworkStrategy(PlacementStrategy):
         depth_scale = (
             site.depth / site.max_depth if site.max_depth > 0 else 1.0
         )
-        return float(self.rate[site.slot, site.content] * depth_scale)
+        return self._rate_rows[site.slot][site.content] * depth_scale
 
     def should_place(self, site, rng):
         return bool(rng.random() < self.admission_probability(site))
 
     def victim(self, slot, cache, rng):
         del rng
-        return min(
-            cache,
-            key=lambda e: (self.score[slot, e.content], e.last_used, e.content),
-        ).content
+        return lowest_score_victim(self._score_rows[slot], cache)
 
 
 def make_strategy(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,8 +157,52 @@ class MostPopularPolicy(ServingPolicy):
         raise RuntimeError("most-popular is a static placement; nothing to evict")
 
 
+def lowest_score_victim(row: Sequence[float], cache: EdgeCache) -> int:
+    """The equilibrium eviction rule shared by both serving planes.
+
+    Evicts the copy whose content scores lowest in ``row`` (one slot's
+    scores, indexed by content); ties on the score go to the
+    least-recently-used copy, then to the lower content index.  That is
+    ``min(cache, key=lambda e: (row[e.content], e.last_used,
+    e.content))``, computed as one scan for the lowest score and a
+    tie-break among the (usually single) copies that reach it.
+    """
+    entries = cache.entries
+    scores = list(map(row.__getitem__, entries))
+    low = min(scores)
+    if scores.count(low) == 1:
+        return list(entries)[scores.index(low)]  # keys are content indices
+    ties = [e for e, score in zip(entries.values(), scores) if score == low]
+    return min(ties, key=lambda e: (e.last_used, e.content)).content
+
+
+class DecisionRows:
+    """Python row lists of a policy's ``(n_slots, n_contents)`` tables.
+
+    Decisions index ``self._<table>_rows[slot][content]``: plain list
+    indexing of Python floats is several times cheaper than a 2-D numpy
+    scalar lookup, and the values are the same doubles.  The rows are
+    derived state, so they are left out of pickles (pool work items,
+    resume keys) and rebuilt on load.
+    """
+
+    _row_tables: Tuple[str, ...] = ()
+
+    def _build_rows(self) -> None:
+        for name in self._row_tables:
+            setattr(self, f"_{name}_rows", getattr(self, name).tolist())
+
+    def __getstate__(self):
+        derived = {f"_{name}_rows" for name in self._row_tables}
+        return {k: v for k, v in self.__dict__.items() if k not in derived}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._build_rows()
+
+
 @dataclass
-class MFGPolicyAdapter(ServingPolicy):
+class MFGPolicyAdapter(DecisionRows, ServingPolicy):
     """Serve from the solved MFG-CP equilibrium.
 
     The adapter distils each content's equilibrium into two slot-indexed
@@ -203,6 +247,7 @@ class MFGPolicyAdapter(ServingPolicy):
     sizes_mb: Sequence[float]
 
     name = "mfg"
+    _row_tables = ("rate", "score", "refresh_slack")
 
     def __post_init__(self) -> None:
         self.rate = np.asarray(self.rate, dtype=float)
@@ -231,6 +276,7 @@ class MFGPolicyAdapter(ServingPolicy):
         self.refresh_slack = (1.0 - self.rate) * np.asarray(
             self.update_periods, dtype=float
         )[None, :]
+        self._build_rows()
 
     @classmethod
     def from_equilibria(
@@ -254,7 +300,8 @@ class MFGPolicyAdapter(ServingPolicy):
         horizon:
             Replay horizon; slot times are mapped proportionally onto
             each equilibrium's own epoch ``[0, T]``.  Defaults to the
-            last slot's end implied by uniform slots.
+            last slot's end implied by uniform midpoint slots: half a
+            slot past the last midpoint (``2 * t[0]`` for one slot).
         """
         slot_times = np.asarray(slot_times, dtype=float)
         if slot_times.ndim != 1 or slot_times.size < 1:
@@ -271,7 +318,12 @@ class MFGPolicyAdapter(ServingPolicy):
                 f"catalog content before building the adapter"
             )
         if horizon is None:
-            horizon = float(2.0 * slot_times[-1] - (slot_times[-2] if slot_times.size > 1 else 0.0))
+            if slot_times.size > 1:
+                horizon = float(
+                    slot_times[-1] + 0.5 * (slot_times[-1] - slot_times[-2])
+                )
+            else:
+                horizon = float(2.0 * slot_times[0])
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
 
@@ -299,22 +351,19 @@ class MFGPolicyAdapter(ServingPolicy):
             # A burst pays for its own admission: count-1 immediate
             # edge hits beat count cloud serves.
             return True
-        if not bool(rng.random() < self.rate[slot, content]):
+        if not rng.random() < self._rate_rows[slot][content]:
             return False
         if cache.has_room(float(self.sizes_mb[content])):
             return True
-        weakest = min(self.score[slot, entry.content] for entry in cache)
-        return bool(self.score[slot, content] > weakest)
+        row = self._score_rows[slot]
+        return row[content] > min(map(row.__getitem__, cache.entries))
 
     def victim(self, slot, cache, rng):
         del rng
-        return min(
-            cache,
-            key=lambda e: (self.score[slot, e.content], e.last_used, e.content),
-        ).content
+        return lowest_score_victim(self._score_rows[slot], cache)
 
     def refresh_due(self, slot, content, age):
-        return age > self.refresh_slack[slot, content]
+        return age > self._refresh_slack_rows[slot][content]
 
 
 def make_policy(

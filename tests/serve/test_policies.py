@@ -1,5 +1,7 @@
 """Tests for the serving policies."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,17 @@ class TestMFGAdapter:
         assert eager.refresh_due(0, 0, age=0.2)       # slack 0.1
         assert not lazy.refresh_due(0, 0, age=0.2)    # slack 0.9
 
+    def test_pickle_drops_and_rebuilds_rows(self):
+        adapter = make_adapter([[0.9, 0.1]], [[0.8, 0.2]])
+        assert "_score_rows" not in adapter.__getstate__()
+        clone = pickle.loads(pickle.dumps(adapter))
+        assert clone._score_rows == [[0.8, 0.2]]
+        cache = EdgeCache(capacity_mb=100.0)
+        cache.store(0, 100.0, t=0.0)
+        rng1, rng2 = np.random.default_rng(1), np.random.default_rng(1)
+        assert clone.admit(0, 1, 1, cache, rng1) == adapter.admit(0, 1, 1, cache, rng2)
+        assert clone.refresh_due(0, 1, 0.95) == adapter.refresh_due(0, 1, 0.95)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="matching"):
             make_adapter([[0.5]], [[0.5, 0.5]])
@@ -164,6 +177,33 @@ class TestFromEquilibria:
         assert adapter.score.shape == (len(slot_times), k)
         assert np.all(adapter.rate >= 0.0) and np.all(adapter.rate <= 1.0)
         assert np.all(adapter.score >= 0.0) and np.all(adapter.score <= 1.0)
+
+    def test_default_horizon_is_the_last_slot_end(self, engine, equilibria):
+        # Slot midpoints (i + 1/2) dt end at n dt; the default must land
+        # there, not half a slot later.
+        kwargs = dict(
+            sizes_mb=engine.sizes_mb,
+            update_periods=engine.update_periods,
+            slot_times=engine.source.slot_times(),
+        )
+        default = MFGPolicyAdapter.from_equilibria(equilibria, **kwargs)
+        explicit = MFGPolicyAdapter.from_equilibria(
+            equilibria, horizon=engine.source.horizon, **kwargs
+        )
+        np.testing.assert_allclose(default.rate, explicit.rate, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(default.score, explicit.score, rtol=0, atol=1e-12)
+
+    def test_default_horizon_single_slot(self, equilibria):
+        k = len(equilibria)
+        kwargs = dict(sizes_mb=(100.0,) * k, update_periods=(1.0,) * k)
+        default = MFGPolicyAdapter.from_equilibria(
+            equilibria, slot_times=[0.25], **kwargs
+        )
+        explicit = MFGPolicyAdapter.from_equilibria(
+            equilibria, slot_times=[0.25], horizon=0.5, **kwargs
+        )
+        assert np.array_equal(default.rate, explicit.rate)
+        assert np.array_equal(default.score, explicit.score)
 
     def test_missing_equilibrium_raises(self, engine, equilibria):
         partial = {k: v for k, v in equilibria.items() if k != 1}
