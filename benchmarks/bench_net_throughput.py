@@ -1,7 +1,8 @@
 """Cache-network replay throughput (requests/second).
 
-Replays Zipf(1) demand over a 15-router binary tree under the
-equilibrium-driven ``mfg`` placement strategy and reports sustained
+Replays Zipf(1) demand (the canned Zipf workload through the ``fixed``
+stream) over a 15-router binary tree under the equilibrium-driven
+``mfg`` placement strategy and reports sustained
 network-replay throughput.  Equilibrium solves happen outside the
 timed region — the bench measures the hop-by-hop request loop (probe,
 serve, placement walk, admission queues), not the solver.  The serial
@@ -19,7 +20,8 @@ import time
 
 from repro.content.workloads import zipf_workload
 from repro.runtime import ParallelExecutor, SerialExecutor
-from repro.serve.net import NetworkReplayEngine
+from repro.serve import workload_stream
+from repro.serve.net import NetworkReplayEngine, parse_topology
 
 try:
     from conftest import run_once
@@ -29,6 +31,7 @@ except ImportError:  # running as a plain script, outside pytest
 TOPOLOGY = "tree:2x4"
 N_CONTENTS = 12
 N_REPLICAS = 4
+N_SLOTS = 25
 RATE_PER_RECEIVER = 400.0
 
 
@@ -44,13 +47,21 @@ def build(executor=None):
         n_contents=N_CONTENTS, alpha=1.0,
         rate_per_edp=RATE_PER_RECEIVER, seed=0,
     )
+    topology = parse_topology(TOPOLOGY)
+    stream = workload_stream(
+        workload,
+        n_edps=N_REPLICAS * topology.n_receivers,
+        n_slots=N_SLOTS,
+        dt=1.0 / N_SLOTS,
+        rate_per_edp=RATE_PER_RECEIVER,
+        seed=0,
+    )
     engine = NetworkReplayEngine(
         workload,
-        TOPOLOGY,
+        topology,
+        stream=stream,
         n_replicas=N_REPLICAS,
         capacity_fraction=0.1,
-        rate_per_receiver=RATE_PER_RECEIVER,
-        seed=0,
         executor=executor,
     )
     engine.solve_equilibria()  # outside the timed region
@@ -75,9 +86,9 @@ def measure():
         "n_contents": N_CONTENTS,
         "n_replicas": N_REPLICAS,
         "strategy": "mfg",
-        "hit_ratio": serial_report.hit_ratio,
+        "mfg_hit_ratio": serial_report.hit_ratio,
         "mean_hops": serial_report.mean_hops,
-        "rejection_rate": serial_report.rejection_rate,
+        "mfg_rejection_rate": serial_report.rejection_rate,
         "serial_s": serial_s,
         "serial_requests_per_s": requests / serial_s,
         "process2_s": process_s,

@@ -2,16 +2,17 @@
 
 Two measurements, one trend record:
 
-* **Materialised replay** — a contended trace (~100k requests over 8
-  EDPs) under the equilibrium-driven ``mfg`` policy.  Equilibrium
-  solves happen outside the timed region — the bench measures the
-  request loop, not the solver.
-* **Streaming replay (headline)** — the chunked bounded-memory
-  pipeline from ``repro.serve.stream`` at acceptance scale: 10^7+
-  requests across 10^3+ EDPs, replayed serially and on a 2-worker
-  process backend, with process-lifetime peak RSS recorded alongside
-  the throughput (``peak_rss_mb``).  The request volume is ~100x the
-  materialised bench; peak memory must not follow it.
+* **Canned-scenario replay** — a contended video-marketplace trace
+  (~100k requests over 8 EDPs, replayed through the ``fixed`` stream)
+  under the equilibrium-driven ``mfg`` policy.  Equilibrium solves
+  happen outside the timed region — the bench measures the request
+  loop, not the solver.
+* **Zipf replay (headline)** — the chunked bounded-memory pipeline at
+  acceptance scale: 10^7+ requests across 10^3+ EDPs, replayed
+  serially and on a 2-worker process backend, with process-lifetime
+  peak RSS recorded alongside the throughput (``peak_rss_mb``).  The
+  request volume is ~100x the canned-scenario bench; peak memory must
+  not follow it.
 
 Both measurements time the serial and 2-worker process backends and
 assert bit-identical aggregate reports (the ``repro.runtime``
@@ -29,7 +30,7 @@ import time
 from repro.content.workloads import video_marketplace
 from repro.core.parameters import MFGCPConfig
 from repro.runtime import ParallelExecutor, SerialExecutor
-from repro.serve import ServingEngine, ZipfStream, stream_workload
+from repro.serve import ServingEngine, ZipfStream, stream_workload, workload_stream
 
 try:
     from conftest import run_once
@@ -61,13 +62,20 @@ def timed_replay(engine, policy="mfg"):
 def build(executor=None):
     workload = video_marketplace(n_contents=N_CONTENTS, seed=11)
     config = MFGCPConfig.fast()
+    stream = workload_stream(
+        workload,
+        n_edps=N_EDPS,
+        n_slots=N_SLOTS,
+        dt=config.horizon / N_SLOTS,
+        rate_per_edp=TOTAL_REQUESTS / (config.horizon * N_EDPS),
+        seed=0,
+    )
     engine = ServingEngine(
         workload,
         N_EDPS,
+        stream=stream,
         config=config,
-        n_slots=N_SLOTS,
-        rate_per_edp=TOTAL_REQUESTS / (config.horizon * N_EDPS),
-        seed=0,
+        stream_chunk=STREAM_CHUNK_SLOTS,
         executor=executor,
     )
     engine.solve_equilibria()  # outside the timed region
@@ -123,7 +131,7 @@ def measure():
         "n_contents": N_CONTENTS,
         "n_slots": N_SLOTS,
         "policy": "mfg",
-        "hit_ratio": serial_report.hit_ratio,
+        "mfg_hit_ratio": serial_report.hit_ratio,
         "serial_s": serial_s,
         "serial_requests_per_s": requests / serial_s,
         "process2_s": process_s,

@@ -222,25 +222,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stream", default=None, metavar="KIND",
                        choices=("zipf", "shuffled-zipf", "diurnal",
                                 "flash-crowd", "trace"),
-                       help="replay from the chunked streaming request "
-                            "pipeline instead of a materialised trace: "
-                            "zipf, shuffled-zipf, diurnal, flash-crowd, or "
-                            "trace (bounded memory; a new determinism "
-                            "domain — see docs/serving.md)")
+                       help="replay a synthetic workload generator instead "
+                            "of the canned scenario: zipf, shuffled-zipf, "
+                            "diurnal, flash-crowd, or trace (see "
+                            "docs/serving.md)")
         p.add_argument("--stream-chunk", type=int, default=8, metavar="SLOTS",
-                       help="slots per streamed chunk (0 = the whole replay "
+                       help="slots per replay chunk (0 = the whole replay "
                             "as one chunk; default 8; pure memory grain, "
                             "never affects results)")
         p.add_argument("--warmup-slots", type=int, default=0, metavar="N",
                        help="icarus-style warmup: the first N slots populate "
                             "caches but are excluded from every reported "
-                            "counter (streamed replays only)")
+                            "counter")
         p.add_argument("--trace-file", default=None, metavar="CSV",
                        help="trending-trace CSV backing '--stream trace'")
         if zipf_alpha:
             p.add_argument("--zipf-alpha", type=float, default=1.0,
-                           help="Zipf exponent of the streamed workload "
-                                "(streamed replays only)")
+                           help="Zipf exponent of the --stream generator")
 
     p_solve = sub.add_parser("solve", help="solve one mean-field equilibrium")
     add_config_args(p_solve)
@@ -1309,6 +1307,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.content import workloads
     from repro.serve import POLICY_NAMES, ServingEngine, REPORT_HEADERS
     from repro.serve.report import comparison_rows, export_serving_reports
+    from repro.serve.stream import make_stream, stream_workload, workload_stream
 
     spec = args.policy.strip().lower()
     names = list(POLICY_NAMES) if spec == "all" else [
@@ -1318,73 +1317,64 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: no serving policy given", file=sys.stderr)
         return 2
     config = MFGCPConfig.fast()
-    stream = None
-    if args.stream is not None:
-        # Streamed replay: the workload generator replaces the canned
-        # scenario and fixes the trace geometry (--workload is unused).
-        from repro.serve.stream import make_stream, stream_workload
-
-        try:
+    geometry = dict(
+        n_edps=args.edps,
+        n_slots=args.slots,
+        dt=config.horizon / args.slots,
+        rate_per_edp=args.requests / (config.horizon * args.edps),
+        seed=args.seed,
+        warmup_slots=args.warmup_slots,
+    )
+    try:
+        if args.stream:
+            # A workload generator replaces the canned scenario.
             stream = make_stream(
                 args.stream,
-                n_edps=args.edps,
-                n_slots=args.slots,
-                dt=config.horizon / args.slots,
-                rate_per_edp=args.requests / (config.horizon * args.edps),
-                seed=args.seed,
                 n_contents=args.contents,
                 alpha=args.zipf_alpha,
-                warmup_slots=args.warmup_slots,
                 trace_path=args.trace_file,
+                **geometry,
             )
-        except (OSError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        workload = stream_workload(stream)
-    elif args.workload == "video_marketplace":
-        workload = workloads.video_marketplace(
-            n_contents=args.contents, seed=args.seed
-        )
-    elif args.workload == "traffic_information":
-        workload = workloads.traffic_information(
-            n_roads=args.contents, seed=args.seed
-        )
-    else:
-        workload, _ = workloads.news_cycle(
-            n_contents=args.contents, seed=args.seed
-        )
+            workload = stream_workload(stream)
+        else:
+            if args.workload == "video_marketplace":
+                workload = workloads.video_marketplace(
+                    n_contents=args.contents, seed=args.seed
+                )
+            elif args.workload == "traffic_information":
+                workload = workloads.traffic_information(
+                    n_roads=args.contents, seed=args.seed
+                )
+            else:
+                workload, _ = workloads.news_cycle(
+                    n_contents=args.contents, seed=args.seed
+                )
+            stream = workload_stream(workload, **geometry)
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     telemetry = _telemetry_from_args(args)
     executor = _executor_from_args(args, telemetry)
-    if stream is not None:
-        stream_state_dir = None
-        if getattr(args, "checkpoint_dir", None):
-            from repro.runtime.checkpoint import stream_state_dir as _state_dir
+    stream_state_dir = None
+    if getattr(args, "checkpoint_dir", None):
+        from repro.runtime.checkpoint import stream_state_dir as _state_dir
 
-            stream_state_dir = _state_dir(args.checkpoint_dir)
-        mode_kwargs = dict(
-            stream=stream,
-            stream_chunk=args.stream_chunk,
-            stream_state_dir=stream_state_dir,
-        )
-    else:
-        mode_kwargs = dict(
-            rate_per_edp=args.requests / (config.horizon * args.edps),
-        )
+        stream_state_dir = _state_dir(args.checkpoint_dir)
     try:
         engine = ServingEngine(
             workload,
             args.edps,
+            stream=stream,
             config=config,
-            n_slots=args.slots,
             capacity_fraction=args.capacity_fraction,
-            seed=args.seed,
             shards=args.shards,
             executor=executor,
             telemetry=telemetry,
             solver_batching=args.solver_batching,
             batch_size=args.batch_size,
-            **mode_kwargs,
+            stream_chunk=args.stream_chunk,
+            stream_state_dir=stream_state_dir,
         )
         reports = engine.compare(names)
     except StrictNumericsError as err:
@@ -1396,9 +1386,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     _close_telemetry(args, telemetry)
-    workload_label = (
-        f"stream:{args.stream}" if args.stream is not None else args.workload
-    )
+    workload_label = f"stream:{args.stream}" if args.stream else args.workload
     print(format_table(
         list(REPORT_HEADERS),
         comparison_rows(reports),
@@ -1425,6 +1413,7 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         network_comparison_rows,
         parse_topology,
     )
+    from repro.serve.stream import make_stream, stream_workload, workload_stream
 
     spec = args.strategy.strip().lower()
     names = list(STRATEGY_NAMES) if spec == "all" else [
@@ -1439,36 +1428,35 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     config = MFGCPConfig.fast()
-    stream = None
-    if args.stream is not None:
-        from repro.serve.stream import make_stream, stream_workload
-
-        try:
+    geometry = dict(
+        n_edps=args.replicas * topology.n_receivers,
+        n_slots=args.slots,
+        dt=config.horizon / args.slots,
+        rate_per_edp=args.rate,
+        seed=args.seed,
+        warmup_slots=args.warmup_slots,
+    )
+    try:
+        if args.stream:
             stream = make_stream(
                 args.stream,
-                n_edps=args.replicas * topology.n_receivers,
-                n_slots=args.slots,
-                dt=config.horizon / args.slots,
-                rate_per_edp=args.rate,
-                seed=args.seed,
                 n_contents=args.contents,
                 alpha=args.alpha,
-                warmup_slots=args.warmup_slots,
                 trace_path=args.trace_file,
+                **geometry,
             )
-        except (OSError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        workload = stream_workload(stream)
-        mode_kwargs = dict(stream=stream, stream_chunk=args.stream_chunk)
-    else:
-        workload = zipf_workload(
-            n_contents=args.contents,
-            alpha=args.alpha,
-            rate_per_edp=args.rate,
-            seed=args.seed,
-        )
-        mode_kwargs = dict(rate_per_receiver=args.rate)
+            workload = stream_workload(stream)
+        else:
+            workload = zipf_workload(
+                n_contents=args.contents,
+                alpha=args.alpha,
+                rate_per_edp=args.rate,
+                seed=args.seed,
+            )
+            stream = workload_stream(workload, **geometry)
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     telemetry = _telemetry_from_args(args)
     executor = _executor_from_args(args, telemetry)
@@ -1476,20 +1464,19 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         engine = NetworkReplayEngine(
             workload,
             topology,
+            stream=stream,
             config=config,
-            n_slots=args.slots,
             capacity_fraction=args.capacity_fraction,
             node_capacity_mb=args.node_capacity,
             n_replicas=args.replicas,
             shards=args.shards,
-            seed=args.seed,
             queue_capacity=args.queue_capacity,
             queue_service_rate=args.queue_rate,
             executor=executor,
             telemetry=telemetry,
             solver_batching=args.solver_batching,
             batch_size=args.batch_size,
-            **mode_kwargs,
+            stream_chunk=args.stream_chunk,
         )
         reports = engine.compare(names)
     except StrictNumericsError as err:

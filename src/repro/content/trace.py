@@ -276,9 +276,10 @@ def trace_receiver_popularity(
     Returns the global category labels (most viewed first, as in
     :func:`trace_to_popularity`) and an ``(n_receivers, n_contents)``
     matrix whose row ``r`` is receiver ``r``'s normalised demand over
-    those categories — the shape
-    :class:`repro.serve.net.NetworkReplayEngine` accepts as
-    ``receiver_popularity``.  Records with ``receiver=None`` (or a
+    those categories — the ``lane_shares`` of a
+    :class:`repro.serve.stream.LanePopularityStream`, which gives every
+    replica of receiver ``r`` row ``r``'s demand in a network replay.
+    Records with ``receiver=None`` (or a
     receiver id outside ``range(n_receivers)``) spread their views
     uniformly across all receivers, so unpinned demand still counts.
     Receivers with no demand at all fall back to the global share.

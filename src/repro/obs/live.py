@@ -120,9 +120,10 @@ class LiveStatusWriter:
         # lane -> {"items": int, "last_index": int, "last_wall": float}
         self._lanes: Dict[str, Dict[str, float]] = {}
 
-        # Streaming-replay geometry (set_stream); None outside
-        # streamed serving runs.
+        # Current replay's stream geometry (set_stream) and the request
+        # count it started from; None outside serving runs.
         self._stream: Optional[Dict[str, Any]] = None
+        self._stream_base = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -200,13 +201,15 @@ class LiveStatusWriter:
         n_chunks: int,
         expected_requests: float,
     ) -> None:
-        """Record a streaming replay's geometry for the dashboard.
+        """Record a serving replay's stream geometry for the dashboard.
 
         The snapshot then carries a ``stream`` block whose ``progress``
-        is the served share of the expected request volume — logical
-        progress through the stream, wall-clock free like every other
-        deterministic input to the file.
+        is the share of ``expected_requests`` served since this call —
+        logical progress through this replay alone (a comparison runs
+        several replays through one writer), wall-clock free like every
+        other deterministic input to the file.
         """
+        self._stream_base = self._requests
         self._stream = {
             "workload": str(workload),
             "chunk_slots": int(chunk_slots),
@@ -308,7 +311,10 @@ class LiveStatusWriter:
             payload["stream"] = dict(
                 self._stream,
                 progress=(
-                    round(min(self._requests / expected, 1.0), 6)
+                    round(
+                        min((self._requests - self._stream_base) / expected, 1.0),
+                        6,
+                    )
                     if expected > 0
                     else None
                 ),

@@ -14,11 +14,11 @@ The :mod:`repro.serve.net` subpackage replays the same traces through
 hierarchical cache *networks* (PATH/TREE/RING/MESH topologies with
 on-path placement strategies) behind ``repro serve-net``.
 
-For million-request replays, :mod:`repro.serve.stream` provides the
-chunked :class:`RequestStream` protocol (``--stream`` on the CLI):
-bounded-memory generation with per-``(EDP, slot)`` RNG keying, five
-workload generators, and chunk-granular resume (see
-``docs/serving.md``).
+Every replay reads its requests from the chunked :class:`RequestStream`
+protocol of :mod:`repro.serve.stream`: bounded-memory generation with
+per-``(EDP, slot)`` RNG keying, five workload generators (``--stream``
+on the CLI), canned scenarios through :func:`workload_stream`, and
+chunk-granular resume (see ``docs/serving.md``).
 """
 
 from repro.serve.cache import CacheEntry, EdgeCache
@@ -27,12 +27,6 @@ from repro.serve.engine import (
     ServingEngine,
     replay_shard,
     stream_state_key,
-)
-from repro.serve.events import (
-    RequestTraceSource,
-    SlotEvent,
-    edp_seed_sequences,
-    partition_edps,
 )
 from repro.serve.policies import (
     LFUPolicy,
@@ -55,6 +49,7 @@ from repro.serve.stream import (
     DiurnalStream,
     FixedPopularityStream,
     FlashCrowdStream,
+    LanePopularityStream,
     RequestChunk,
     RequestStream,
     STREAM_WORKLOADS,
@@ -64,6 +59,7 @@ from repro.serve.stream import (
     concat_chunks,
     make_stream,
     stream_workload,
+    workload_stream,
 )
 
 __all__ = [
@@ -74,6 +70,7 @@ __all__ = [
     "FixedPopularityStream",
     "FlashCrowdStream",
     "LFUPolicy",
+    "LanePopularityStream",
     "LRUPolicy",
     "MFGPolicyAdapter",
     "MostPopularPolicy",
@@ -83,23 +80,20 @@ __all__ = [
     "ReplaySpec",
     "RequestChunk",
     "RequestStream",
-    "RequestTraceSource",
     "STREAM_WORKLOADS",
     "ServingEngine",
     "ServingPolicy",
     "ServingReport",
     "ShuffledZipfStream",
-    "SlotEvent",
     "TraceStream",
     "ZipfStream",
     "comparison_rows",
     "concat_chunks",
-    "edp_seed_sequences",
     "export_serving_reports",
     "make_policy",
     "make_stream",
-    "partition_edps",
     "replay_shard",
     "stream_state_key",
     "stream_workload",
+    "workload_stream",
 ]

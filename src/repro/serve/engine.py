@@ -1,21 +1,23 @@
-"""The request-level serving engine: sharded trace replay.
+"""The request-level serving engine: sharded, chunked trace replay.
 
-:class:`ServingEngine` replays a slotted request trace (from any
-:mod:`repro.content.workloads` scenario) against a population of EDP
-edge caches under a pluggable :class:`~repro.serve.policies.ServingPolicy`,
-and reports the serving outcomes the paper's evaluation never measures
-directly: hit ratio, staleness-violation rate, mean retrieval latency,
-backhaul volume, and per-request trading revenue.
+:class:`ServingEngine` replays a :class:`~repro.serve.stream.RequestStream`
+(a synthetic generator, or a :mod:`repro.content.workloads` scenario
+through :func:`~repro.serve.stream.workload_stream`) against a
+population of EDP edge caches under a pluggable
+:class:`~repro.serve.policies.ServingPolicy`, and reports the serving
+outcomes the paper's evaluation never measures directly: hit ratio,
+staleness-violation rate, mean retrieval latency, backhaul volume, and
+per-request trading revenue.
 
 Execution shape
 ---------------
-Replay is embarrassingly parallel per EDP: every EDP owns its request
-stream (an RNG child spawned from the root seed), its cache, and its
-counters.  The engine groups EDPs into shards and submits one
-:class:`~repro.runtime.ExecutionPlan` work item per shard, so the
-PR-2 runtime contract carries over verbatim — results and merged
-telemetry are bit-identical across ``serial`` and any ``process:N``
-backend, and across shard counts.
+Replay is embarrassingly parallel per EDP: every EDP owns its cache
+and its counters, and every ``(EDP, slot)`` cell of the stream owns its
+RNG.  The engine groups EDPs into shards and submits one
+:class:`~repro.runtime.ExecutionPlan` work item per shard; each shard
+replays its EDPs one bounded-memory chunk at a time.  Results and
+merged telemetry are bit-identical across ``serial`` and any
+``process:N`` backend, across shard counts, and across chunk sizes.
 
 Serving semantics (documented in ``docs/serving.md``)
 -----------------------------------------------------
@@ -48,10 +50,15 @@ from repro.core.best_response import BatchedBestResponseIterator, BestResponseIt
 from repro.core.equilibrium import EquilibriumResult
 from repro.core.parameters import MFGCPConfig
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
-from repro.runtime import ExecutionPlan, ExecutorLike, as_executor, partition_batches
+from repro.runtime import (
+    ExecutionPlan,
+    ExecutorLike,
+    as_executor,
+    partition_batches,
+    partition_indices,
+)
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.serve.cache import EdgeCache
-from repro.serve.events import RequestTraceSource, partition_edps
 from repro.serve.policies import ServingPolicy, make_policy
 from repro.serve.report import EDPServingStats, ServingReport
 from repro.serve.stream import RequestStream
@@ -64,8 +71,9 @@ class ReplaySpec:
 
     Attributes
     ----------
-    source:
-        The request-trace recipe (per-EDP RNG streams included).
+    stream:
+        The :class:`~repro.serve.stream.RequestStream` every EDP's
+        requests, policy draws and trace geometry come from.
     sizes_mb, update_periods:
         Catalog geometry per content.
     capacity_mb:
@@ -82,21 +90,16 @@ class ReplaySpec:
         ``(n_slots, n_contents)``.
     eta2, backhaul_rate:
         Backhaul cost constants carried into the report.
-    stream:
-        Optional :class:`~repro.serve.stream.RequestStream`.  When set,
-        shards replay in bounded-memory chunks through
-        :func:`_replay_edp_stream` (the streamed determinism domain)
-        instead of materialising per-EDP traces from ``source``.
     chunk_slots:
-        Replay chunk size in slots (streamed mode); ``0`` replays the
-        whole trace as one chunk.  Pure memory/progress grain — results
-        are bit-identical across every value.
+        Replay chunk size in slots; ``0`` replays the whole trace as
+        one chunk.  Pure memory/progress grain — results are
+        bit-identical across every value.
     stream_state_root:
         Optional directory for chunk-granular resume state (one small
         file per (policy, EDP)); ``None`` disables mid-item resume.
     """
 
-    source: RequestTraceSource
+    stream: RequestStream
     sizes_mb: Tuple[float, ...]
     update_periods: Tuple[float, ...]
     capacity_mb: float
@@ -106,22 +109,21 @@ class ReplaySpec:
     price: np.ndarray
     eta2: float
     backhaul_rate: float
-    stream: Optional[RequestStream] = None
     chunk_slots: int = 0
     stream_state_root: Optional[str] = None
 
     def __post_init__(self) -> None:
-        k = self.source.n_contents
+        k = self.stream.n_contents
         for name in ("sizes_mb", "update_periods", "hit_latency_s", "miss_latency_s"):
             if len(getattr(self, name)) != k:
                 raise ValueError(
                     f"{name} has {len(getattr(self, name))} entries for {k} contents"
                 )
         price = np.asarray(self.price, dtype=float)
-        if price.shape != (self.source.n_slots, k):
+        if price.shape != (self.stream.n_slots, k):
             raise ValueError(
                 f"price path shape {price.shape} does not match "
-                f"({self.source.n_slots}, {k})"
+                f"({self.stream.n_slots}, {k})"
             )
         if self.capacity_mb <= 0:
             raise ValueError(f"capacity_mb must be positive, got {self.capacity_mb}")
@@ -131,96 +133,6 @@ class ReplaySpec:
             raise ValueError(
                 f"chunk_slots must be non-negative, got {self.chunk_slots}"
             )
-        if self.stream is not None:
-            for field_name, stream_val, source_val in (
-                ("n_contents", self.stream.n_contents, k),
-                ("n_slots", self.stream.n_slots, self.source.n_slots),
-                ("n_edps", self.stream.n_edps, self.source.n_edps),
-            ):
-                if stream_val != source_val:
-                    raise ValueError(
-                        f"stream {field_name}={stream_val} does not match "
-                        f"the source's {source_val}"
-                    )
-
-
-def _replay_edp(
-    spec: ReplaySpec,
-    policy: ServingPolicy,
-    edp: int,
-    telemetry: SolverTelemetry = NULL_TELEMETRY,
-) -> EDPServingStats:
-    """Replay one EDP's full request stream against a fresh cache.
-
-    The single place serving semantics live; every backend and shard
-    layout funnels through here, which is what makes replays
-    bit-identical by construction.
-    """
-    request_rng, policy_rng = spec.source.rng_pair_for(edp)
-    cache = EdgeCache(capacity_mb=spec.capacity_mb)
-    stats = EDPServingStats(edp=edp)
-    stats.backhaul_mb += policy.warm(cache, 0.0)
-
-    sizes = spec.sizes_mb
-    hit_lat = spec.hit_latency_s
-    miss_lat = spec.miss_latency_s
-    periods = spec.update_periods
-    l_max = spec.l_max
-    price = spec.price
-
-    for event in spec.source.stream(edp, request_rng):
-        s, t, batch = event.slot, event.t, event.batch
-        for k in np.nonzero(batch.counts)[0]:
-            k = int(k)
-            c = int(batch.counts[k])
-            stats.requests += c
-            stats.revenue += c * price[s, k] * sizes[k]
-            entry = cache.lookup(k)
-            if entry is None:
-                # Miss: served from the cloud, fresh.  One admission
-                # decision per missed batch; victims leave until the
-                # new copy fits.
-                if cache.fits(sizes[k]) and policy.admit(s, k, c, cache, policy_rng):
-                    while not cache.has_room(sizes[k]):
-                        cache.evict(policy.victim(s, cache, policy_rng))
-                    entry = cache.store(k, sizes[k], t)
-                    entry.hits += c - 1
-                    stats.backhaul_mb += sizes[k]
-                    stats.hits += c - 1
-                    stats.latency_s += miss_lat[k] + (c - 1) * hit_lat[k]
-                else:
-                    stats.backhaul_mb += c * sizes[k]
-                    stats.latency_s += c * miss_lat[k]
-            else:
-                # Hit: served at the edge; check freshness first.
-                age = t - entry.fetched_at
-                if age > 0.0 and policy.refresh_due(s, k, age):
-                    stats.backhaul_mb += sizes[k]
-                    stats.refreshes += 1
-                    entry.fetched_at = t
-                    age = 0.0
-                if age > 0.0:
-                    tolerance = (l_max - batch.timeliness[k]) / l_max * periods[k]
-                    stats.staleness_violations += int(
-                        np.count_nonzero(age > tolerance)
-                    )
-                entry.last_used = t
-                entry.hits += c
-                stats.hits += c
-                stats.latency_s += c * hit_lat[k]
-    if telemetry.enabled and cache.used_mb > spec.capacity_mb * (1 + 1e-9):
-        # Invariant check: admission/eviction must never leave the
-        # cache over capacity; an overshoot means a policy bug.
-        telemetry.diag(
-            "serve.occupancy",
-            "error",
-            value=float(cache.used_mb),
-            threshold=float(spec.capacity_mb),
-            message="edge cache occupancy exceeds capacity",
-            edp=int(edp),
-            policy=policy.name,
-        )
-    return stats
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +143,7 @@ _STREAM_STATE_SCHEMA = 1
 
 
 def stream_state_key(spec: ReplaySpec, policy: ServingPolicy) -> str:
-    """Content-addressed fingerprint of one streamed replay's inputs.
+    """Content-addressed fingerprint of one replay's inputs.
 
     Everything that changes a replay's outcome is hashed — the stream
     recipe, chunking, catalog geometry, latencies, the price path, and
@@ -336,29 +248,28 @@ def _load_stream_state(path: str, key: str, edp: int) -> Optional[dict]:
         return None
 
 
-def _replay_edp_stream(
+def _replay_edp_chunks(
     spec: ReplaySpec,
     policy: ServingPolicy,
     edp: int,
     telemetry: SolverTelemetry = NULL_TELEMETRY,
     state_key: Optional[str] = None,
 ) -> EDPServingStats:
-    """Replay one EDP's trace in bounded-memory chunks.
+    """Replay one EDP's trace against a fresh cache, chunk by chunk.
 
-    The streamed counterpart of :func:`_replay_edp`: request blocks
-    come from the spec's :class:`~repro.serve.stream.RequestStream` one
+    The single place serving semantics live; every backend, shard
+    layout and chunk size funnels through here.  Request blocks come
+    from the spec's :class:`~repro.serve.stream.RequestStream` one
     :class:`~repro.serve.stream.RequestChunk` at a time, policy draws
     come from per-slot generators, and every per-slot accumulation
     happens in (slot, content) cell order — which is why results are
-    bit-identical across chunk sizes, shard counts, and backends, and
-    why the materialised oracle (one chunk spanning all slots) matches
-    any chunking exactly.
+    bit-identical across chunk sizes, shard counts, and backends: one
+    chunk spanning all slots matches any chunking exactly.
 
     Warmup phase: slots below ``stream.warmup_slots`` mutate the cache
     and consume policy draws normally but touch no counters (icarus's
     warmup/measured split).  The ``policy.warm`` preload's backhaul is
-    counted only when there is no warmup phase, matching the legacy
-    path's accounting.
+    counted only when there is no warmup phase.
 
     With ``state_key`` set (and a ``stream_state_root`` on the spec),
     the replay position is persisted after every chunk and restored on
@@ -369,7 +280,6 @@ def _replay_edp_stream(
     the test harness kill a replay between specific chunks.
     """
     stream = spec.stream
-    assert stream is not None
     chunk_slots = spec.chunk_slots if spec.chunk_slots > 0 else stream.n_slots
     warmup = stream.warmup_slots
     dt = stream.dt
@@ -520,39 +430,32 @@ def replay_shard(
 
     Module-level and argument-complete, so it pickles to pool workers;
     telemetry is the per-worker buffered observer the runtime injects.
-    Dispatches to the chunked streaming replay when the spec carries a
-    :class:`~repro.serve.stream.RequestStream`; stream state files of
-    fully replayed EDPs are removed once the whole shard lands (the
-    item-level checkpoint takes over from there).
+    Stream state files of fully replayed EDPs are removed once the
+    whole shard lands (the item-level checkpoint takes over from
+    there).
     """
     with telemetry.span("replay_shard"):
-        if spec.stream is not None:
-            state_key = None
-            if spec.stream_state_root:
-                os.makedirs(spec.stream_state_root, exist_ok=True)
-                state_key = stream_state_key(spec, policy)
-            results = [
-                _replay_edp_stream(
-                    spec, policy, int(edp),
-                    telemetry=telemetry, state_key=state_key,
-                )
-                for edp in edp_ids
-            ]
-            if state_key is not None:
-                for edp in edp_ids:
-                    try:
-                        os.unlink(
-                            _stream_state_path(
-                                spec.stream_state_root, state_key, int(edp)
-                            )
+        state_key = None
+        if spec.stream_state_root:
+            os.makedirs(spec.stream_state_root, exist_ok=True)
+            state_key = stream_state_key(spec, policy)
+        results = [
+            _replay_edp_chunks(
+                spec, policy, int(edp),
+                telemetry=telemetry, state_key=state_key,
+            )
+            for edp in edp_ids
+        ]
+        if state_key is not None:
+            for edp in edp_ids:
+                try:
+                    os.unlink(
+                        _stream_state_path(
+                            spec.stream_state_root, state_key, int(edp)
                         )
-                    except FileNotFoundError:
-                        pass
-        else:
-            results = [
-                _replay_edp(spec, policy, int(edp), telemetry=telemetry)
-                for edp in edp_ids
-            ]
+                    )
+                except FileNotFoundError:
+                    pass
     if telemetry.enabled:
         # Staleness anomaly: an EDP serving most of its hits stale means
         # the refresh schedule is mis-tuned for this workload.
@@ -593,6 +496,21 @@ def replay_shard(
             hits=sum(s.hits for s in results),
         )
     return results
+
+
+def set_live_stream(live, stream: RequestStream, chunk_slots: int) -> None:
+    """Record one replay's stream geometry on a live status writer.
+
+    The expected volume counts measured slots only, because replays
+    fold no warmup request into the counters progress is read from.
+    """
+    chunk = chunk_slots or stream.n_slots
+    live.set_stream(
+        workload=type(stream).__name__,
+        chunk_slots=chunk,
+        n_chunks=stream.n_chunks(chunk),
+        expected_requests=stream.expected_measured_requests(),
+    )
 
 
 def _solve_content(
@@ -700,27 +618,29 @@ def solve_equilibrium_map(
 
 
 class ServingEngine:
-    """Replay a workload against a population of EDP edge caches.
+    """Replay a request stream against a population of EDP edge caches.
 
     Parameters
     ----------
     workload:
-        A :class:`repro.content.workloads.Workload` (catalog,
-        popularity, timeliness law, request process).
+        A :class:`repro.content.workloads.Workload`: catalog geometry
+        (sizes, update periods) and the timeliness law the equilibria
+        and staleness checks use.
     n_edps:
-        Population size ``M``.
+        Population size ``M``; must equal ``stream.n_edps``.
+    stream:
+        The :class:`~repro.serve.stream.RequestStream` replayed: every
+        request, every policy draw, and the trace geometry (slots,
+        ``dt``, seed, rate, popularity) come from it.  Canned scenarios
+        replay through :func:`~repro.serve.stream.workload_stream`.
+        Read at every replay, so it may be swapped between replays for
+        a stream of the same geometry.
     config:
         MFG-CP model constants (latency, pricing, equilibrium solves);
         defaults to the fast preset so ``mfg`` replays stay cheap.
-    n_slots:
-        Trace resolution; the replay horizon is ``config.horizon``.
     capacity_fraction / capacity_mb:
         Per-EDP edge storage, as a fraction of the catalog volume or
         absolute (absolute wins when both are given).
-    rate_per_edp:
-        Request intensity override; defaults to the workload's own.
-    seed:
-        Root seed for every per-EDP stream.
     shards:
         Replay shard count (defaults to ``min(n_edps, 8)``); pure
         parallel grain, never affects results.
@@ -733,20 +653,9 @@ class ServingEngine:
         pipeline — one work item per shard of at most ``batch_size``
         contents instead of one per content.  Results are
         bit-identical to the per-content path.
-    stream:
-        Optional :class:`~repro.serve.stream.RequestStream`.  When
-        given, replay runs in bounded-memory chunks and the trace
-        geometry (slots, dt, seed, rate, timeliness, popularity) is
-        taken from the stream — the ``n_slots``, ``seed``, and
-        ``rate_per_edp`` parameters must be left at their defaults.
-        The streamed RNG keying (per ``(EDP, slot)`` spawn keys) is a
-        *new* determinism domain: bit-stable in itself across chunk
-        sizes, shard counts, and backends, but not bit-compatible with
-        the materialised path at equal seeds.
     stream_chunk:
-        Chunk size in slots for streamed replay (``0`` = the whole
-        trace as one chunk).  Pure memory grain — never affects
-        results.
+        Replay chunk size in slots (``0`` = the whole trace as one
+        chunk).  Pure memory grain — never affects results.
     stream_state_dir:
         Optional directory for chunk-granular resume state; pair it
         with a checkpointing executor so an interrupted replay resumes
@@ -758,29 +667,21 @@ class ServingEngine:
         workload: Workload,
         n_edps: int,
         *,
+        stream: RequestStream,
         config: Optional[MFGCPConfig] = None,
-        n_slots: int = 25,
         capacity_fraction: float = 0.3,
         capacity_mb: Optional[float] = None,
-        rate_per_edp: Optional[float] = None,
-        seed: int = 0,
         shards: Optional[int] = None,
         executor: ExecutorLike = None,
         telemetry: SolverTelemetry = NULL_TELEMETRY,
         solver_batching: bool = False,
         batch_size: int = 32,
-        stream: Optional[RequestStream] = None,
         stream_chunk: int = 0,
         stream_state_dir: Optional[str] = None,
     ) -> None:
         if n_edps < 1:
             raise ValueError(f"need at least one EDP, got {n_edps}")
-        if stream is not None and rate_per_edp is not None:
-            raise ValueError(
-                "rate_per_edp and stream are mutually exclusive: a stream "
-                "fixes its own request rate"
-            )
-        if stream is not None and stream.n_edps != int(n_edps):
+        if stream.n_edps != int(n_edps):
             raise ValueError(
                 f"stream covers {stream.n_edps} EDPs but the engine was "
                 f"asked for {n_edps}"
@@ -809,6 +710,11 @@ class ServingEngine:
         catalog = workload.catalog
         if len(catalog) == 0:
             raise ValueError("workload catalog has no contents")
+        if stream.n_contents != len(catalog):
+            raise ValueError(
+                f"stream catalog of {stream.n_contents} contents does not "
+                f"match the workload's {len(catalog)}"
+            )
         self.sizes_mb = tuple(float(c.size_mb) for c in catalog)
         self.update_periods = tuple(float(c.update_period) for c in catalog)
         total = sum(self.sizes_mb)
@@ -826,37 +732,6 @@ class ServingEngine:
         self.stream_state_dir = (
             None if stream_state_dir is None else os.fspath(stream_state_dir)
         )
-        if stream is not None:
-            if stream.n_contents != len(catalog):
-                raise ValueError(
-                    f"stream catalog of {stream.n_contents} contents does not "
-                    f"match the workload's {len(catalog)}"
-                )
-            # The stream fixes the trace geometry; the source mirrors it
-            # so price paths, policy tables, and reports share one shape.
-            self.source = RequestTraceSource(
-                popularity=tuple(float(p) for p in stream.popularity),
-                rate_per_edp=float(stream.rate_per_edp),
-                timeliness=stream.timeliness,
-                n_slots=int(stream.n_slots),
-                dt=float(stream.dt),
-                seed=int(stream.seed),
-                n_edps=self.n_edps,
-            )
-        else:
-            rate = (
-                float(rate_per_edp) if rate_per_edp is not None
-                else float(workload.requests.rate_per_edp)
-            )
-            self.source = RequestTraceSource(
-                popularity=tuple(float(p) for p in workload.popularity),
-                rate_per_edp=rate,
-                timeliness=workload.timeliness_model,
-                n_slots=int(n_slots),
-                dt=self.config.horizon / int(n_slots),
-                seed=int(seed),
-                n_edps=self.n_edps,
-            )
         self._equilibria: Optional[Dict[int, EquilibriumResult]] = None
 
     # ------------------------------------------------------------------
@@ -873,9 +748,9 @@ class ServingEngine:
         if self._equilibria is None:
             configs = equilibrium_configs(
                 self.config,
-                self.source.popularity,
+                self.stream.popularity,
                 self.sizes_mb,
-                self.source.rate_per_edp,
+                self.stream.rate_per_edp,
                 min(
                     self.workload.timeliness_model.mean(),
                     self.workload.timeliness_model.l_max,
@@ -901,13 +776,13 @@ class ServingEngine:
             kwargs = dict(
                 equilibria=self.solve_equilibria(),
                 update_periods=self.update_periods,
-                slot_times=self.source.slot_times(),
-                horizon=self.source.horizon,
+                slot_times=self.stream.slot_times(),
+                horizon=self.stream.horizon,
             )
         return make_policy(
             key,
             sizes_mb=self.sizes_mb,
-            popularity=self.source.popularity,
+            popularity=self.stream.popularity,
             **kwargs,
         )
 
@@ -919,13 +794,13 @@ class ServingEngine:
         Shared by every policy of a comparison, so revenue differences
         come from serving outcomes, not from different markets.
         """
-        n_slots, k = self.source.n_slots, self.source.n_contents
+        n_slots, k = self.stream.n_slots, self.stream.n_contents
         if self._equilibria is None:
             return np.full((n_slots, k), float(self.config.p_hat))
-        slot_times = self.source.slot_times()
+        slot_times = self.stream.slot_times()
         price = np.empty((n_slots, k))
         for idx, eq in self._equilibria.items():
-            t_eq = slot_times / self.source.horizon * eq.config.horizon
+            t_eq = slot_times / self.stream.horizon * eq.config.horizon
             price[:, idx] = np.interp(t_eq, eq.grid.t, eq.mean_field.price)
         return price
 
@@ -944,7 +819,7 @@ class ServingEngine:
             for size, lat in zip(self.sizes_mb, hit_latency)
         )
         return ReplaySpec(
-            source=self.source,
+            stream=self.stream,
             sizes_mb=self.sizes_mb,
             update_periods=self.update_periods,
             capacity_mb=self.capacity_mb,
@@ -954,7 +829,6 @@ class ServingEngine:
             price=self._price_path(),
             eta2=float(self.config.eta2),
             backhaul_rate=float(self.config.backhaul_rate),
-            stream=self.stream,
             chunk_slots=self.stream_chunk,
             stream_state_root=self.stream_state_dir,
         )
@@ -966,7 +840,7 @@ class ServingEngine:
             else self.build_policy(policy)
         )
         spec = self.spec()
-        shards = partition_edps(self.n_edps, self.shards)
+        shards = partition_indices(self.n_edps, self.shards)
         plan = ExecutionPlan.map(
             replay_shard,
             [(spec, policy_obj, shard) for shard in shards],
@@ -980,14 +854,7 @@ class ServingEngine:
             live.set_phase(
                 f"serve:replay:{policy_obj.name}", total_items=len(plan)
             )
-            if self.stream is not None:
-                chunk = self.stream_chunk or self.stream.n_slots
-                live.set_stream(
-                    workload=type(self.stream).__name__,
-                    chunk_slots=chunk,
-                    n_chunks=self.stream.n_chunks(chunk),
-                    expected_requests=self.stream.expected_total_requests(),
-                )
+            set_live_stream(live, self.stream, self.stream_chunk)
 
         def _shard_progress(outcome) -> None:
             # Fold each landed shard's serving counters into the live
@@ -1030,9 +897,9 @@ class ServingEngine:
         )
         report = ServingReport(
             policy=policy_obj.name,
-            n_slots=self.source.n_slots,
-            dt=self.source.dt,
-            seed=self.source.seed,
+            n_slots=int(self.stream.n_slots),
+            dt=float(self.stream.dt),
+            seed=int(self.stream.seed),
             eta2=float(self.config.eta2),
             backhaul_rate=float(self.config.backhaul_rate),
             per_edp=per_edp,

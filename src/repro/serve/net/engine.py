@@ -14,14 +14,14 @@ Node caches are shared by every receiver, so a network replay cannot
 shard per receiver the way :class:`~repro.serve.engine.ServingEngine`
 shards per EDP.  The parallel unit is instead the **replica**: each
 replica replays the whole network against its own independent request
-streams (receiver ``r`` of replica ``j`` consumes stream
+lanes (receiver ``r`` of replica ``j`` consumes lane
 ``j * n_receivers + r`` of one shared
-:class:`~repro.serve.events.RequestTraceSource`), and replicas are
-grouped into :class:`~repro.runtime.ExecutionPlan` work items.  Every
-stream descends from the root seed by ``SeedSequence.spawn``, each
-replica is replayed slot-ordered in one item, and per-item results and
-telemetry merge in item order — so reports are bit-identical across
-``serial`` and any ``process:N`` backend, and across shard counts.
+:class:`~repro.serve.stream.RequestStream`), and replicas are grouped
+into :class:`~repro.runtime.ExecutionPlan` work items.  Every
+``(lane, slot)`` cell owns its RNG, each replica is replayed
+slot-ordered in one item, and per-item results and telemetry merge in
+item order — so reports are bit-identical across ``serial`` and any
+``process:N`` backend, across shard counts, and across chunk sizes.
 
 Semantics (documented in ``docs/serving.md``)
 ---------------------------------------------
@@ -32,7 +32,7 @@ Semantics (documented in ``docs/serving.md``)
 * The placement pass walks the return path top-down (serving node
   toward receiver); a strategy "yes" becomes a queue offer, and an
   admitted write evicts strategy-chosen victims until the copy fits.
-* Request timeliness draws are consumed (stream compatibility with
+* Request timeliness draws are generated (the stream is shared with
   the single-cache engine) but staleness is not modelled on the
   network plane — copies are replaced, never refreshed.
 """
@@ -50,8 +50,11 @@ from repro.core.parameters import MFGCPConfig
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
 from repro.runtime import ExecutionPlan, ExecutorLike, as_executor, partition_indices
 from repro.serve.cache import EdgeCache
-from repro.serve.engine import equilibrium_configs, solve_equilibrium_map
-from repro.serve.events import RequestTraceSource
+from repro.serve.engine import (
+    equilibrium_configs,
+    set_live_stream,
+    solve_equilibrium_map,
+)
 from repro.serve.net.queue import AdmissionQueue
 from repro.serve.net.report import (
     NetworkReplayStats,
@@ -75,43 +78,34 @@ class NetworkReplaySpec:
     ----------
     topology:
         The cache network (routes and latencies precomputed).
-    source:
-        The request-trace recipe; stream ``j * n_receivers + r`` feeds
-        receiver ``r`` of replica ``j`` (``source.n_edps`` must equal
-        ``n_replicas * n_receivers``).
+    stream:
+        The :class:`~repro.serve.stream.RequestStream`; lane
+        ``j * n_receivers + r`` feeds receiver ``r`` of replica ``j``
+        (``stream.n_edps`` must equal ``n_replicas * n_receivers``).
+        Per-receiver demand lives in the stream
+        (:class:`~repro.serve.stream.LanePopularityStream`).
     n_receivers, n_replicas:
-        The stream-indexing geometry.
+        The lane-indexing geometry.
     sizes_mb:
         Catalog sizes per content.
     node_capacity_mb:
         Per-router cache capacity.
     queue_capacity, queue_service_rate:
         Admission-queue shape shared by every caching node.
-    receiver_popularity:
-        Optional ``(n_receivers, n_contents)`` per-receiver demand
-        shares (rows need not be normalised); ``None`` means every
-        receiver follows the workload's global popularity.
-    stream, chunk_slots:
-        When ``stream`` is set, requests come from the chunked
-        :class:`~repro.serve.stream.RequestStream` protocol instead of
-        the sequential trace source — bounded memory (one
-        ``chunk_slots``-slot block per receiver lane at a time) and a
-        new per-``(lane, slot)`` RNG keying, so streamed network
-        replays form their own determinism domain.  ``chunk_slots=0``
-        means one chunk per replay.  ``receiver_popularity`` is a
-        legacy-path feature and cannot combine with ``stream``.
+    chunk_slots:
+        Replay chunk size in slots; at most one chunk per receiver
+        lane is resident at a time.  ``0`` means one chunk per replay.
+        Pure memory grain — results are bit-identical across values.
     """
 
     topology: CacheNetworkTopology
-    source: RequestTraceSource
+    stream: RequestStream
     n_receivers: int
     n_replicas: int
     sizes_mb: Tuple[float, ...]
     node_capacity_mb: float
     queue_capacity: int
     queue_service_rate: float
-    receiver_popularity: Optional[np.ndarray] = None
-    stream: Optional[RequestStream] = None
     chunk_slots: int = 0
 
     def __post_init__(self) -> None:
@@ -122,58 +116,24 @@ class NetworkReplaySpec:
             )
         if self.n_replicas < 1:
             raise ValueError(f"n_replicas must be positive, got {self.n_replicas}")
-        if self.source.n_edps != self.n_replicas * self.n_receivers:
+        if self.stream.n_edps != self.n_replicas * self.n_receivers:
             raise ValueError(
-                f"source provides {self.source.n_edps} streams; "
+                f"stream provides {self.stream.n_edps} lanes; "
                 f"{self.n_replicas} replicas x {self.n_receivers} receivers "
                 f"need {self.n_replicas * self.n_receivers}"
             )
-        if len(self.sizes_mb) != self.source.n_contents:
+        if len(self.sizes_mb) != self.stream.n_contents:
             raise ValueError(
-                f"{len(self.sizes_mb)} sizes for {self.source.n_contents} contents"
+                f"{len(self.sizes_mb)} sizes for {self.stream.n_contents} contents"
             )
         if self.node_capacity_mb <= 0:
             raise ValueError(
                 f"node_capacity_mb must be positive, got {self.node_capacity_mb}"
             )
-        if self.receiver_popularity is not None:
-            pop = np.asarray(self.receiver_popularity, dtype=float)
-            if pop.shape != (self.n_receivers, self.source.n_contents):
-                raise ValueError(
-                    f"receiver_popularity shape {pop.shape} does not match "
-                    f"({self.n_receivers}, {self.source.n_contents})"
-                )
-            if np.any(pop < 0) or np.any(pop.sum(axis=1) <= 0):
-                raise ValueError(
-                    "receiver_popularity rows must be non-negative with "
-                    "positive mass"
-                )
         if self.chunk_slots < 0:
             raise ValueError(
                 f"chunk_slots must be non-negative, got {self.chunk_slots}"
             )
-        if self.stream is not None:
-            if self.receiver_popularity is not None:
-                raise ValueError(
-                    "receiver_popularity is not supported in stream mode; "
-                    "encode per-receiver demand in the stream instead"
-                )
-            if self.stream.n_contents != self.source.n_contents:
-                raise ValueError(
-                    f"stream has {self.stream.n_contents} contents; the "
-                    f"spec names {self.source.n_contents}"
-                )
-            if self.stream.n_slots != self.source.n_slots:
-                raise ValueError(
-                    f"stream spans {self.stream.n_slots} slots; the spec "
-                    f"names {self.source.n_slots}"
-                )
-            if self.stream.n_edps != self.n_replicas * self.n_receivers:
-                raise ValueError(
-                    f"stream provides {self.stream.n_edps} lanes; "
-                    f"{self.n_replicas} replicas x {self.n_receivers} "
-                    f"receivers need {self.n_replicas * self.n_receivers}"
-                )
 
 
 def _serve_receiver_slot(
@@ -192,9 +152,8 @@ def _serve_receiver_slot(
 ) -> None:
     """Serve one receiver's slot batch: probe, account, place.
 
-    The single place network serving semantics live; the sequential and
-    the streamed replica replays both funnel through here, which is
-    what makes replays bit-identical by construction.  ``measured``
+    The single place network serving semantics live; every replica
+    replay funnels through here.  ``measured``
     gates every stats counter (warmup slots mutate caches and queues
     but report nothing).
     """
@@ -302,79 +261,13 @@ def _check_occupancy(
         )
 
 
-def _replay_replica(
+def _replay_replica_chunks(
     spec: NetworkReplaySpec,
     strategy: PlacementStrategy,
     replica: int,
     telemetry: SolverTelemetry = NULL_TELEMETRY,
 ) -> NetworkReplayStats:
     """Replay one full-network replica against fresh caches and queues.
-
-    The sequential (trace-source) path: one persistent RNG pair per
-    receiver lane, consumed slot by slot from slot 0.
-    """
-    topo = spec.topology
-    caches: Dict[int, EdgeCache] = {
-        int(v): EdgeCache(capacity_mb=spec.node_capacity_mb) for v in topo.routers
-    }
-    queues: Dict[int, AdmissionQueue] = {
-        int(v): AdmissionQueue(
-            capacity=spec.queue_capacity, service_rate=spec.queue_service_rate
-        )
-        for v in topo.routers
-    }
-    stats = NetworkReplayStats.empty(topo)
-    stats.replicas = 1
-    stats.elapsed_t = spec.source.horizon
-    max_depth = max(int(topo.depths[v]) for v in topo.routers)
-
-    # Per-receiver (arrival process, policy RNG, popularity) triples.
-    lanes = []
-    for r in range(spec.n_receivers):
-        stream = replica * spec.n_receivers + r
-        request_rng, policy_rng = spec.source.rng_pair_for(stream)
-        process = spec.source.process_for(stream, request_rng)
-        if spec.receiver_popularity is not None:
-            pop = np.asarray(spec.receiver_popularity[r], dtype=float)
-        else:
-            pop = np.asarray(spec.source.popularity, dtype=float)
-        lanes.append((process, policy_rng, pop))
-
-    for slot in range(spec.source.n_slots):
-        t = (slot + 0.5) * spec.source.dt
-        for r in range(spec.n_receivers):
-            process, policy_rng, pop = lanes[r]
-            batch = process.sample(pop, spec.source.dt)
-            _serve_receiver_slot(
-                spec,
-                strategy,
-                caches,
-                queues,
-                stats,
-                r,
-                slot,
-                t,
-                batch.counts,
-                policy_rng,
-                max_depth,
-            )
-
-    for node, queue in sorted(queues.items()):
-        node_stats = stats.per_node[node]
-        node_stats.queue_accepted += queue.accepted
-        node_stats.queue_rejected += queue.rejected
-        node_stats.queue_backlog_time += queue.backlog_integral
-    _check_occupancy(spec, strategy, caches, telemetry)
-    return stats
-
-
-def _replay_replica_stream(
-    spec: NetworkReplaySpec,
-    strategy: PlacementStrategy,
-    replica: int,
-    telemetry: SolverTelemetry = NULL_TELEMETRY,
-) -> NetworkReplayStats:
-    """Replay one replica from chunked streams under bounded memory.
 
     Receiver lane ``r`` consumes stream EDP ``replica * n_receivers +
     r``; at most one ``chunk_slots``-slot chunk per lane is resident at
@@ -386,8 +279,6 @@ def _replay_replica_stream(
     subtracted at fold time.
     """
     stream = spec.stream
-    if stream is None:
-        raise ValueError("spec has no stream; use _replay_replica")
     topo = spec.topology
     caches: Dict[int, EdgeCache] = {
         int(v): EdgeCache(capacity_mb=spec.node_capacity_mb) for v in topo.routers
@@ -468,10 +359,9 @@ def replay_network_shard(
     (latency, queue backlog) sum in the same order under every shard
     grouping.
     """
-    replay = _replay_replica_stream if spec.stream is not None else _replay_replica
     with telemetry.span("replay_network_shard"):
         results = [
-            replay(spec, strategy, int(replica), telemetry=telemetry)
+            _replay_replica_chunks(spec, strategy, int(replica), telemetry=telemetry)
             for replica in replica_ids
         ]
     if telemetry.enabled:
@@ -523,37 +413,41 @@ def replay_network_shard(
 
 
 class NetworkReplayEngine:
-    """Replay a workload through a cache network under on-path strategies.
+    """Replay a request stream through a cache network under on-path strategies.
 
     Parameters
     ----------
     workload:
-        A :class:`repro.content.workloads.Workload` (catalog,
-        popularity, timeliness law, request process).
+        A :class:`repro.content.workloads.Workload`: catalog sizes and
+        the timeliness law the equilibria use.
     topology:
         A :class:`CacheNetworkTopology` or a grammar spec
         (``"tree:2x4"``, ``"path:6"``, ``"ring:8"``, ``"mesh:12x3"``).
+    stream:
+        The :class:`~repro.serve.stream.RequestStream` replayed; it
+        must provide ``n_replicas * n_receivers`` lanes and fixes the
+        trace geometry (slots, ``dt``, rate, seed, popularity).
+        Per-receiver demand — e.g. from a trace with a ``receiver``
+        column via :func:`repro.content.trace.trace_receiver_popularity`
+        — goes in as a :class:`~repro.serve.stream.LanePopularityStream`.
+        Read at every replay, so it may be swapped between replays for
+        a stream of the same geometry.
     config:
         MFG-CP model constants (horizon, equilibrium solves); defaults
         to the fast preset so ``mfg`` replays stay cheap.
-    n_slots:
-        Trace resolution; the replay horizon is ``config.horizon``.
     capacity_fraction / node_capacity_mb:
         Per-router cache size, as a fraction of the catalog volume or
         absolute (absolute wins when both are given).  The network's
         total cache budget is ``node_capacity_mb * len(routers)`` —
         strategies compared by one engine always share it.
-    rate_per_receiver:
-        Request intensity override per receiver; defaults to the
-        workload's own per-EDP rate.
     n_replicas:
         Independent full-network replays averaged into one report;
         also the parallel grain (replicas shard across workers).
     shards:
         Work-item count (defaults to ``min(n_replicas, 8)``); pure
         parallel grain, never affects results.
-    seed / topology_seed:
-        Root seed for request streams / MESH placement geometry.
+    topology_seed:
+        Seed for MESH placement geometry.
     queue_capacity, queue_service_rate:
         Admission-queue shape per node; the rate defaults to each
         node's fair share of the network's total request rate.
@@ -563,19 +457,9 @@ class NetworkReplayEngine:
     solver_batching / batch_size:
         Solve the mfg strategy's equilibria through the batched tensor
         pipeline (bit-identical to per-content solves).
-    receiver_popularity:
-        Optional ``(n_receivers, n_contents)`` per-receiver demand
-        shares — e.g. from a trace with a ``receiver`` column via
-        :func:`repro.content.trace.trace_receiver_popularity`.
-    stream / stream_chunk:
-        A :class:`~repro.serve.stream.RequestStream` switches the
-        replay to the chunked streaming protocol (bounded memory, a
-        new per-``(lane, slot)`` determinism domain); the stream must
-        provide ``n_replicas * n_receivers`` lanes and fixes the trace
-        geometry (``n_slots``, ``dt``, rate, seed), so the matching
-        engine arguments must be left at their defaults.
-        ``stream_chunk`` is the chunk size in slots (0 = whole replay
-        in one chunk per lane).
+    stream_chunk:
+        Replay chunk size in slots (0 = whole replay in one chunk per
+        lane).  Pure memory grain — never affects results.
     """
 
     def __init__(
@@ -583,14 +467,12 @@ class NetworkReplayEngine:
         workload: Workload,
         topology: Union[str, CacheNetworkTopology],
         *,
+        stream: RequestStream,
         config: Optional[MFGCPConfig] = None,
-        n_slots: int = 25,
         capacity_fraction: float = 0.1,
         node_capacity_mb: Optional[float] = None,
-        rate_per_receiver: Optional[float] = None,
         n_replicas: int = 2,
         shards: Optional[int] = None,
-        seed: int = 0,
         topology_seed: int = 0,
         queue_capacity: int = 8,
         queue_service_rate: Optional[float] = None,
@@ -598,8 +480,6 @@ class NetworkReplayEngine:
         telemetry: SolverTelemetry = NULL_TELEMETRY,
         solver_batching: bool = False,
         batch_size: int = 32,
-        receiver_popularity: Optional[np.ndarray] = None,
-        stream: Optional[RequestStream] = None,
         stream_chunk: int = 0,
     ) -> None:
         if n_replicas < 1:
@@ -614,16 +494,6 @@ class NetworkReplayEngine:
             raise ValueError(
                 f"stream_chunk must be non-negative, got {stream_chunk}"
             )
-        if stream is not None:
-            if rate_per_receiver is not None:
-                raise ValueError(
-                    "rate_per_receiver cannot combine with a stream; the "
-                    "stream fixes rate_per_edp"
-                )
-            if receiver_popularity is not None:
-                raise ValueError(
-                    "receiver_popularity is not supported in stream mode"
-                )
         self.workload = workload
         self.config = config if config is not None else MFGCPConfig.fast()
         self.topology = (
@@ -659,24 +529,16 @@ class NetworkReplayEngine:
                 f"content (smallest is {min(self.sizes_mb):.1f} MB)"
             )
         n_receivers = self.topology.n_receivers
-        if stream is not None:
-            if stream.n_edps != self.n_replicas * n_receivers:
-                raise ValueError(
-                    f"stream provides {stream.n_edps} lanes; "
-                    f"{self.n_replicas} replicas x {n_receivers} receivers "
-                    f"need {self.n_replicas * n_receivers}"
-                )
-            if stream.n_contents != len(catalog):
-                raise ValueError(
-                    f"stream serves {stream.n_contents} contents but the "
-                    f"workload catalog holds {len(catalog)}"
-                )
-            rate = float(stream.rate_per_edp)
-        else:
-            rate = (
-                float(rate_per_receiver)
-                if rate_per_receiver is not None
-                else float(workload.requests.rate_per_edp)
+        if stream.n_edps != self.n_replicas * n_receivers:
+            raise ValueError(
+                f"stream provides {stream.n_edps} lanes; "
+                f"{self.n_replicas} replicas x {n_receivers} receivers "
+                f"need {self.n_replicas * n_receivers}"
+            )
+        if stream.n_contents != len(catalog):
+            raise ValueError(
+                f"stream serves {stream.n_contents} contents but the "
+                f"workload catalog holds {len(catalog)}"
             )
         self.stream = stream
         self.stream_chunk = int(stream_chunk)
@@ -686,35 +548,11 @@ class NetworkReplayEngine:
             if queue_service_rate is not None
             # Fair share of the network's total request rate per node:
             # admission keeps up on average, bursts still reject.
-            else max(rate * n_receivers / len(self.topology.routers), 1e-9)
-        )
-        if stream is not None:
-            # The source mirrors the stream's geometry so every spec
-            # consumer (equilibria, reports, slot_times) reads one
-            # truth; request draws come from the stream in this mode.
-            self.source = RequestTraceSource(
-                popularity=tuple(float(p) for p in stream.popularity),
-                rate_per_edp=rate,
-                timeliness=stream.timeliness,
-                n_slots=int(stream.n_slots),
-                dt=float(stream.dt),
-                seed=int(stream.seed),
-                n_edps=self.n_replicas * n_receivers,
+            else max(
+                float(stream.rate_per_edp) * n_receivers
+                / len(self.topology.routers),
+                1e-9,
             )
-        else:
-            self.source = RequestTraceSource(
-                popularity=tuple(float(p) for p in workload.popularity),
-                rate_per_edp=rate,
-                timeliness=workload.timeliness_model,
-                n_slots=int(n_slots),
-                dt=self.config.horizon / int(n_slots),
-                seed=int(seed),
-                n_edps=self.n_replicas * n_receivers,
-            )
-        self.receiver_popularity = (
-            None
-            if receiver_popularity is None
-            else np.asarray(receiver_popularity, dtype=float)
         )
         self._equilibria: Optional[Dict[int, EquilibriumResult]] = None
 
@@ -731,9 +569,9 @@ class NetworkReplayEngine:
         if self._equilibria is None:
             configs = equilibrium_configs(
                 self.config,
-                self.source.popularity,
+                self.stream.popularity,
                 self.sizes_mb,
-                self.source.rate_per_edp,
+                self.stream.rate_per_edp,
                 min(
                     self.workload.timeliness_model.mean(),
                     self.workload.timeliness_model.l_max,
@@ -762,8 +600,8 @@ class NetworkReplayEngine:
                 equilibria=self.solve_equilibria(),
                 sizes_mb=self.sizes_mb,
                 update_periods=self.update_periods,
-                slot_times=self.source.slot_times(),
-                horizon=self.source.horizon,
+                slot_times=self.stream.slot_times(),
+                horizon=self.stream.horizon,
             )
         return make_strategy(key, **kwargs)
 
@@ -771,15 +609,13 @@ class NetworkReplayEngine:
         """The picklable replay recipe shards receive."""
         return NetworkReplaySpec(
             topology=self.topology,
-            source=self.source,
+            stream=self.stream,
             n_receivers=self.topology.n_receivers,
             n_replicas=self.n_replicas,
             sizes_mb=self.sizes_mb,
             node_capacity_mb=self.node_capacity_mb,
             queue_capacity=self.queue_capacity,
             queue_service_rate=self.queue_service_rate,
-            receiver_popularity=self.receiver_popularity,
-            stream=self.stream,
             chunk_slots=self.stream_chunk,
         )
 
@@ -807,14 +643,7 @@ class NetworkReplayEngine:
             live.set_phase(
                 f"serve-net:{strategy_obj.name}", total_items=len(plan)
             )
-            if self.stream is not None:
-                chunk = self.stream_chunk or self.stream.n_slots
-                live.set_stream(
-                    workload=type(self.stream).__name__,
-                    chunk_slots=chunk,
-                    n_chunks=self.stream.n_chunks(chunk),
-                    expected_requests=self.stream.expected_total_requests(),
-                )
+            set_live_stream(live, self.stream, self.stream_chunk)
 
         def _shard_progress(outcome) -> None:
             # Fold each landed shard's counters into the live windowed
@@ -862,9 +691,9 @@ class NetworkReplayEngine:
         report = NetworkServingReport(
             strategy=strategy_obj.name,
             topology=self.topology.name,
-            n_slots=self.source.n_slots,
-            dt=self.source.dt,
-            seed=self.source.seed,
+            n_slots=int(self.stream.n_slots),
+            dt=float(self.stream.dt),
+            seed=int(self.stream.seed),
             n_replicas=self.n_replicas,
             node_capacity_mb=self.node_capacity_mb,
             per_node=tuple(

@@ -1,9 +1,8 @@
-"""Chunked streaming request generation for million-user replay.
+"""Chunked streaming request generation: the serving engines' only input.
 
-The legacy :class:`~repro.serve.events.RequestTraceSource` walks one
-sequential RNG per EDP, so a replay can only be reproduced from slot 0
-and every consumer pays per-slot python sampling costs.  This module
-replaces that with a **streaming iterator protocol** built for scale:
+Every replay — single-cache or cache-network, canned scenario or
+synthetic generator — reads its requests and its trace geometry from
+one **streaming iterator protocol** built for scale:
 
 * A :class:`RequestStream` is a frozen, picklable recipe that yields
   fixed-size :class:`RequestChunk` blocks of requests per EDP.
@@ -33,12 +32,11 @@ the warmup+measured phase split via ``warmup_slots``):
                              semantics, malformed rows skipped+counted)
 =================  ====================================================
 
-``stream(edp)`` semantics match the legacy protocol — Poisson counts
-per content split by popularity, per-request Def. 2 timeliness
-requirements — but the RNG keying differs, so streamed replays are a
-*new* determinism domain, not bit-compatible with
-:class:`RequestTraceSource` replays at equal seeds (both domains are
-individually reproducible forever).
+Canned :mod:`repro.content.workloads` scenarios replay through
+:class:`FixedPopularityStream` (:func:`workload_stream` builds it), and
+per-receiver demand through :class:`LanePopularityStream`.  Every slot
+draws Poisson counts per content split by popularity, each request
+carrying a Def. 2 timeliness requirement.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.content.catalog import Content, ContentCatalog
-from repro.content.requests import RequestBatch
 from repro.content.timeliness import TimelinessModel
 from repro.content.trace import load_trace_csv, trace_to_popularity
 from repro.content.workloads import Workload
@@ -144,25 +141,6 @@ class RequestChunk:
         cell = local_slot * self.n_contents + content
         return self.timeliness[offs[cell]:offs[cell + 1]]
 
-    def slot_batches(self) -> Iterator[Tuple[int, float, RequestBatch]]:
-        """Legacy-shaped view: ``(slot, t, RequestBatch)`` per slot."""
-        offs = self.offsets()
-        k = self.n_contents
-        for s in range(self.n_slots):
-            slot = self.start_slot + s
-            groups = [
-                self.timeliness[offs[s * k + c]:offs[s * k + c + 1]]
-                for c in range(k)
-            ]
-            yield (
-                slot,
-                (slot + 0.5) * self.dt,
-                RequestBatch(
-                    counts=np.asarray(self.counts[s], dtype=int),
-                    timeliness=groups,
-                ),
-            )
-
 
 def concat_chunks(chunks: Sequence[RequestChunk]) -> RequestChunk:
     """Fuse consecutive chunks of one EDP into a single block."""
@@ -195,7 +173,8 @@ class RequestStream(abc.ABC):
     Subclasses fix the demand shape by implementing
     :meth:`base_weights` (static per-content demand weights) and
     optionally overriding :meth:`rate_multiplier` /
-    :meth:`weights_at` for time-varying workloads.
+    :meth:`weights_at` for time-varying workloads, or
+    :meth:`lane_weights` for demand that differs per EDP.
 
     Attributes
     ----------
@@ -258,6 +237,11 @@ class RequestStream(abc.ABC):
         del slot
         return 1.0
 
+    def lane_weights(self, edp: int, slot: int) -> np.ndarray:
+        """Demand weights EDP ``edp`` draws from (default: shared by all)."""
+        del edp
+        return self.weights_at(slot)
+
     # ------------------------------------------------------------------
     # Derived geometry
     # ------------------------------------------------------------------
@@ -269,7 +253,7 @@ class RequestStream(abc.ABC):
     def popularity(self) -> Tuple[float, ...]:
         """The normalised static demand profile (what policies see)."""
         w = np.asarray(self.base_weights(), dtype=float)
-        return tuple(w / w.sum())
+        return tuple((w / w.sum()).tolist())
 
     @property
     def horizon(self) -> float:
@@ -283,9 +267,9 @@ class RequestStream(abc.ABC):
         """Midpoint time of every slot."""
         return (np.arange(self.n_slots) + 0.5) * self.dt
 
-    def intensities(self, slot: int) -> np.ndarray:
-        """Per-content Poisson intensities for one slot."""
-        w = np.asarray(self.weights_at(slot), dtype=float)
+    def intensities(self, slot: int, edp: int = 0) -> np.ndarray:
+        """Per-content Poisson intensities of one EDP in one slot."""
+        w = np.asarray(self.lane_weights(edp, slot), dtype=float)
         total = w.sum()
         if total <= 0:
             raise ValueError(f"slot {slot} demand weights have no mass")
@@ -293,11 +277,11 @@ class RequestStream(abc.ABC):
             self.rate_per_edp * self.rate_multiplier(slot) * self.dt * w / total
         )
 
-    def expected_total_requests(self) -> float:
-        """Mean request volume of a full replay (all EDPs, all slots)."""
+    def expected_measured_requests(self) -> float:
+        """Mean request volume a replay reports (warmup slots excluded)."""
         per_edp = sum(
             self.rate_per_edp * self.rate_multiplier(s) * self.dt
-            for s in range(self.n_slots)
+            for s in range(self.warmup_slots, self.n_slots)
         )
         return per_edp * self.n_edps
 
@@ -344,7 +328,7 @@ class RequestStream(abc.ABC):
         contiguously in content order.
         """
         rng = self.request_rng(edp, slot)
-        counts = rng.poisson(self.intensities(slot)).astype(np.int64)
+        counts = rng.poisson(self.intensities(slot, edp)).astype(np.int64)
         total = int(counts.sum())
         return counts, self.timeliness.sample(total, rng)
 
@@ -412,6 +396,49 @@ class FixedPopularityStream(RequestStream):
 
     def base_weights(self) -> np.ndarray:
         return np.asarray(self.shares, dtype=float)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LanePopularityStream(FixedPopularityStream):
+    """Fixed demand whose shares differ per lane (e.g. per receiver).
+
+    ``shares`` stays the global profile policies and equilibria see;
+    lane ``e`` draws its requests from row ``e % len(lane_shares)``.
+    Under the network engine's lane numbering (``replica * n_receivers
+    + r``) a matrix with one row per receiver — such as
+    :func:`repro.content.trace.trace_receiver_popularity` returns —
+    gives every replica of receiver ``r`` the demand of row ``r``.
+    Rows need not be normalised; any row-like matrix is stored as
+    nested tuples.
+    """
+
+    lane_shares: Tuple[Tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        matrix = np.asarray(self.lane_shares, dtype=float)
+        if (
+            matrix.ndim != 2
+            or matrix.shape[0] < 1
+            or matrix.shape[1] != len(self.shares)
+        ):
+            raise ValueError(
+                f"lane_shares shape {matrix.shape} needs one or more rows "
+                f"of {len(self.shares)} contents"
+            )
+        if np.any(matrix < 0) or np.any(matrix.sum(axis=1) <= 0):
+            raise ValueError(
+                "lane_shares rows must be non-negative with positive mass"
+            )
+        object.__setattr__(
+            self, "lane_shares", tuple(tuple(row) for row in matrix.tolist())
+        )
+
+    def lane_weights(self, edp: int, slot: int) -> np.ndarray:
+        del slot
+        return np.asarray(
+            self.lane_shares[edp % len(self.lane_shares)], dtype=float
+        )
 
 
 def _zipf_weights(n_contents: int, alpha: float) -> np.ndarray:
@@ -621,10 +648,10 @@ def stream_workload(
 ) -> Workload:
     """A :class:`~repro.content.workloads.Workload` wrapping a stream.
 
-    Serving engines still take catalog geometry (sizes, update
-    periods) from a workload; this builds the matching one — uniform
-    sizes, the stream's own demand profile and timeliness law — so a
-    streaming replay needs exactly one extra object.
+    Serving engines take catalog geometry (sizes, update periods)
+    from a workload; this builds the matching one — uniform sizes, the
+    stream's own demand profile and timeliness law — for generators
+    that have no canned scenario behind them.
     """
     if names is None and isinstance(stream, TraceStream) and stream.labels:
         names = stream.labels
@@ -725,4 +752,36 @@ def make_stream(
     raise ValueError(
         f"unknown streaming workload {kind!r}; expected one of "
         f"{STREAM_WORKLOADS}"
+    )
+
+
+def workload_stream(
+    workload: Workload,
+    *,
+    n_edps: int,
+    n_slots: int,
+    dt: float,
+    rate_per_edp: Optional[float] = None,
+    seed: int = 0,
+    warmup_slots: int = 0,
+) -> RequestStream:
+    """The ``fixed`` stream that replays a canned workload scenario.
+
+    The inverse of :func:`stream_workload`: the workload's popularity
+    becomes the stream's shares and its timeliness law the stream's.
+    ``rate_per_edp`` defaults to the workload's own request rate.
+    """
+    return make_stream(
+        "fixed",
+        shares=workload.popularity,
+        timeliness=workload.timeliness_model,
+        n_edps=n_edps,
+        n_slots=n_slots,
+        dt=dt,
+        rate_per_edp=(
+            workload.requests.rate_per_edp if rate_per_edp is None
+            else rate_per_edp
+        ),
+        seed=seed,
+        warmup_slots=warmup_slots,
     )

@@ -296,6 +296,7 @@ class TestReceiverPopularity:
 
     def test_feeds_network_engine_shape(self):
         from repro.content.workloads import zipf_workload
+        from repro.serve import LanePopularityStream
         from repro.serve.net import NetworkReplayEngine, parse_topology
 
         topo = parse_topology("ring:3")
@@ -303,9 +304,16 @@ class TestReceiverPopularity:
             self.records(), topo.n_receivers
         )
         workload = zipf_workload(n_contents=len(labels), rate_per_edp=20.0)
+        stream = LanePopularityStream(
+            shares=tuple(workload.popularity),
+            lane_shares=matrix,
+            n_edps=topo.n_receivers,
+            n_slots=25,
+            dt=1 / 25,
+            rate_per_edp=20.0,
+        )
         engine = NetworkReplayEngine(
-            workload, topo, n_replicas=1, capacity_fraction=0.6,
-            receiver_popularity=matrix,
+            workload, topo, n_replicas=1, capacity_fraction=0.6, stream=stream
         )
         report = engine.replay("lce")
         assert report.requests > 0

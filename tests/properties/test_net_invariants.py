@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.content.workloads import zipf_workload
 from repro.runtime import ParallelExecutor
+from repro.serve import workload_stream
 from repro.serve.net import NetworkReplayEngine, parse_topology
 from repro.serve.net.strategies import LCDStrategy, PlacementSite
 
@@ -37,7 +38,14 @@ def small_engine(spec, seed, topology_seed=0, **kw):
     topology = parse_topology(spec, seed=topology_seed)
     kw.setdefault("n_replicas", 2)
     kw.setdefault("capacity_fraction", 0.4)
-    return NetworkReplayEngine(workload, topology, seed=seed, **kw)
+    stream = workload_stream(
+        workload,
+        n_edps=kw["n_replicas"] * topology.n_receivers,
+        n_slots=25,
+        dt=1 / 25,
+        seed=seed,
+    )
+    return NetworkReplayEngine(workload, topology, stream=stream, **kw)
 
 
 class TestRouteTermination:

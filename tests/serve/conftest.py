@@ -8,7 +8,7 @@ equilibria wherever a test needs the mfg policy.
 import pytest
 
 from repro.content.workloads import video_marketplace
-from repro.serve import ServingEngine
+from repro.serve import ServingEngine, workload_stream
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,8 @@ def workload():
 @pytest.fixture(scope="session")
 def engine(workload):
     """A small solved engine: 6 EDPs, 12 slots, 4 contents."""
-    eng = ServingEngine(workload, n_edps=6, n_slots=12, seed=9)
+    stream = workload_stream(workload, n_edps=6, n_slots=12, dt=1 / 12, seed=9)
+    eng = ServingEngine(workload, n_edps=6, stream=stream)
     eng.solve_equilibria()
     return eng
 

@@ -1,5 +1,7 @@
 """Tests for the ``repro serve`` CLI subcommand."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -91,3 +93,20 @@ class TestServeCommand:
         assert main(argv + ["--backend", "process:2"]) == 0
         parallel_out = capsys.readouterr().out
         assert serial_out == parallel_out
+
+    def test_warmup_slots_apply_to_canned_scenarios(self, capsys):
+        """Without --stream the canned scenario honours --warmup-slots."""
+
+        def requests(extra):
+            assert main(["serve", "--policy", "lru"] + FAST + extra) == 0
+            out = capsys.readouterr().out
+            return int(re.search(r"(\d+) requests\)", out).group(1))
+
+        assert requests(["--warmup-slots", "4"]) < requests(["--warmup-slots", "0"])
+
+    def test_stream_chunk_never_changes_canned_output(self, capsys):
+        argv = ["serve", "--policy", "mfg,lfu"] + FAST
+        assert main(argv) == 0
+        default_out = capsys.readouterr().out
+        assert main(argv + ["--stream-chunk", "3"]) == 0
+        assert capsys.readouterr().out == default_out

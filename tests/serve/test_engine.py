@@ -15,9 +15,16 @@ import pytest
 from repro.content.workloads import video_marketplace
 from repro.obs.telemetry import SolverTelemetry
 from repro.runtime import ParallelExecutor, SerialExecutor
-from repro.serve import ReplaySpec, ServingEngine, replay_shard
+from repro.serve import ReplaySpec, ServingEngine, replay_shard, workload_stream
 
 BACKENDS = {"serial": SerialExecutor, "process": lambda: ParallelExecutor(workers=2)}
+
+
+def canned(workload, n_edps, n_slots=12, seed=9, **kw):
+    """The canned scenario as the ``fixed`` stream over a unit horizon."""
+    return workload_stream(
+        workload, n_edps=n_edps, n_slots=n_slots, dt=1.0 / n_slots, seed=seed, **kw
+    )
 
 
 def normalised_events(buffer):
@@ -40,14 +47,14 @@ def normalised_events(buffer):
 class TestReplaySpec:
     def test_engine_spec_is_consistent(self, engine):
         spec = engine.spec()
-        assert spec.price.shape == (engine.source.n_slots, len(engine.sizes_mb))
+        assert spec.price.shape == (engine.stream.n_slots, len(engine.sizes_mb))
         assert all(m > h for m, h in zip(spec.miss_latency_s, spec.hit_latency_s))
 
     def test_rejects_mismatched_catalog(self, engine):
         spec = engine.spec()
         with pytest.raises(ValueError, match="sizes_mb"):
             ReplaySpec(
-                source=spec.source,
+                stream=spec.stream,
                 sizes_mb=spec.sizes_mb[:-1],
                 update_periods=spec.update_periods,
                 capacity_mb=spec.capacity_mb,
@@ -63,7 +70,7 @@ class TestReplaySpec:
         spec = engine.spec()
         with pytest.raises(ValueError, match="price"):
             ReplaySpec(
-                source=spec.source,
+                stream=spec.stream,
                 sizes_mb=spec.sizes_mb,
                 update_periods=spec.update_periods,
                 capacity_mb=spec.capacity_mb,
@@ -112,8 +119,7 @@ class TestBackendDeterminism:
             engine = ServingEngine(
                 workload,
                 n_edps=6,
-                n_slots=12,
-                seed=9,
+                stream=canned(workload, 6),
                 shards=3,
                 executor=factory(),
                 telemetry=telemetry,
@@ -143,7 +149,8 @@ class TestBackendDeterminism:
         summaries = []
         for shards in (1, 2, 5):
             engine = ServingEngine(
-                workload, n_edps=5, n_slots=10, seed=4, shards=shards
+                workload, n_edps=5, stream=canned(workload, 5, 10, seed=4),
+                shards=shards,
             )
             summaries.append(engine.replay("lru").summary())
         assert summaries[0] == summaries[1] == summaries[2]
@@ -171,9 +178,8 @@ class TestPolicyQuality:
     @pytest.fixture(scope="class")
     def contended(self):
         workload = video_marketplace(n_contents=8, seed=11)
-        engine = ServingEngine(
-            workload, n_edps=16, n_slots=20, rate_per_edp=100.0, seed=0
-        )
+        stream = canned(workload, 16, 20, seed=0, rate_per_edp=100.0)
+        engine = ServingEngine(workload, n_edps=16, stream=stream)
         return {
             r.policy: r for r in engine.compare(["mfg", "lfu", "random"])
         }
@@ -193,19 +199,24 @@ class TestPolicyQuality:
 class TestEngineValidation:
     def test_rejects_empty_population(self, workload):
         with pytest.raises(ValueError, match="EDP"):
-            ServingEngine(workload, n_edps=0)
+            ServingEngine(workload, n_edps=0, stream=canned(workload, 2))
 
     def test_rejects_bad_capacity_fraction(self, workload):
         with pytest.raises(ValueError, match="capacity_fraction"):
-            ServingEngine(workload, n_edps=2, capacity_fraction=0.0)
+            ServingEngine(
+                workload, n_edps=2, stream=canned(workload, 2),
+                capacity_fraction=0.0,
+            )
 
     def test_rejects_tiny_capacity(self, workload):
         with pytest.raises(ValueError, match="holds no content"):
-            ServingEngine(workload, n_edps=2, capacity_mb=1e-6)
+            ServingEngine(
+                workload, n_edps=2, stream=canned(workload, 2), capacity_mb=1e-6
+            )
 
     def test_rejects_bad_shards(self, workload):
         with pytest.raises(ValueError, match="shards"):
-            ServingEngine(workload, n_edps=2, shards=0)
+            ServingEngine(workload, n_edps=2, stream=canned(workload, 2), shards=0)
 
     def test_rejects_unknown_policy(self, engine):
         with pytest.raises(ValueError, match="unknown serving policy"):
@@ -221,7 +232,8 @@ class TestLiveStatusIntegration:
         tele = SolverTelemetry.to_jsonl(io.StringIO())
         tele.set_live(LiveStatusWriter(tmp_path / "status.json", every=1))
         engine = ServingEngine(
-            workload, n_edps=6, n_slots=12, seed=9, shards=3, telemetry=tele
+            workload, n_edps=6, stream=canned(workload, 6), shards=3,
+            telemetry=tele,
         )
         report = engine.replay("lru")
         tele.close()

@@ -1,4 +1,10 @@
-"""Tests for the deterministic request-trace source."""
+"""Tests for request-event generation on the canned-scenario path.
+
+Canned workload scenarios replay through the ``fixed`` stream
+(:func:`repro.serve.workload_stream`); these pin its per-EDP request
+events — keying, slot geometry, policy-draw isolation, expected
+volume — and the EDP partition replay shards are cut by.
+"""
 
 import pickle
 
@@ -6,12 +12,14 @@ import numpy as np
 import pytest
 
 from repro.content.timeliness import TimelinessModel
-from repro.serve import RequestTraceSource, edp_seed_sequences, partition_edps
+from repro.runtime import partition_indices
+from repro.serve import FixedPopularityStream, make_stream
 
 
 def make_source(n_edps=4, n_slots=6, seed=5, rate=20.0):
-    return RequestTraceSource(
-        popularity=(0.5, 0.3, 0.2),
+    return make_stream(
+        "fixed",
+        shares=(0.5, 0.3, 0.2),
         rate_per_edp=rate,
         timeliness=TimelinessModel(l_max=3.0),
         n_slots=n_slots,
@@ -21,21 +29,26 @@ def make_source(n_edps=4, n_slots=6, seed=5, rate=20.0):
     )
 
 
+def counts(stream, edp):
+    return stream.materialize(edp).counts.tolist()
+
+
 class TestSeedSequences:
     def test_children_reproducible(self):
-        a = edp_seed_sequences(7, 5)
-        b = edp_seed_sequences(7, 5)
-        assert [c.entropy for c in a] == [c.entropy for c in b]
-        assert [c.spawn_key for c in a] == [c.spawn_key for c in b]
+        a, b = make_source(seed=7), make_source(seed=7)
+        for edp in range(4):
+            assert a.request_rng(edp, 3).random(4).tobytes() == (
+                b.request_rng(edp, 3).random(4).tobytes()
+            )
 
     def test_children_distinct(self):
-        children = edp_seed_sequences(7, 5)
-        keys = {c.spawn_key for c in children}
-        assert len(keys) == 5
+        stream = make_source(n_edps=5, seed=7)
+        draws = {stream.request_rng(edp, 0).random(4).tobytes() for edp in range(5)}
+        assert len(draws) == 5
 
     def test_rejects_bad_population(self):
         with pytest.raises(ValueError, match="EDP"):
-            edp_seed_sequences(7, 0)
+            make_source(n_edps=0)
 
 
 class TestTraceSource:
@@ -45,88 +58,83 @@ class TestTraceSource:
         assert source.horizon == pytest.approx(0.4)
 
     def test_stream_covers_all_slots(self):
-        source = make_source(n_slots=6)
-        events = list(source.stream(0))
-        assert [e.slot for e in events] == list(range(6))
-        assert all(e.batch.counts.shape == (3,) for e in events)
+        chunk = make_source(n_slots=6).materialize(0)
+        assert chunk.start_slot == 0
+        assert chunk.counts.shape == (6, 3)
 
     def test_stream_reproducible_per_edp(self):
         source = make_source()
-        a = [e.batch.counts.tolist() for e in source.stream(2)]
-        b = [e.batch.counts.tolist() for e in source.stream(2)]
-        assert a == b
+        assert counts(source, 2) == counts(source, 2)
 
     def test_streams_differ_across_edps(self):
         source = make_source(rate=100.0)
-        a = [e.batch.counts.tolist() for e in source.stream(0)]
-        b = [e.batch.counts.tolist() for e in source.stream(1)]
-        assert a != b
+        assert counts(source, 0) != counts(source, 1)
 
     def test_request_stream_independent_of_policy_draws(self):
         """Burning policy draws must not perturb the request trace."""
         source = make_source()
-        req_only, _ = source.rng_pair_for(1)
-        baseline = [e.batch.counts.tolist() for e in source.stream(1, req_only)]
-        req_rng, policy_rng = source.rng_pair_for(1)
+        baseline = counts(source, 1)
         interleaved = []
-        for event in source.stream(1, req_rng):
-            interleaved.append(event.batch.counts.tolist())
-            policy_rng.random(5)  # policy decisions draw elsewhere
+        for slot in range(source.n_slots):
+            source.policy_rng(1, slot).random(5)  # policy decisions draw elsewhere
+            interleaved.append(source.sample_slot(1, slot)[0].tolist())
         assert interleaved == baseline
 
     def test_expected_total_requests(self):
         source = make_source(n_edps=4, n_slots=6, rate=20.0)
         # 20 req/unit-time x 0.6 units x 4 EDPs
-        assert source.expected_total_requests() == pytest.approx(48.0)
+        assert source.expected_measured_requests() == pytest.approx(48.0)
+        # Warmup slots are served but never reported.
+        warm = make_stream(
+            "fixed", shares=(1.0,), rate_per_edp=20.0, n_slots=6, dt=0.1,
+            n_edps=4, warmup_slots=2,
+        )
+        assert warm.expected_measured_requests() == pytest.approx(32.0)
 
     def test_pickle_roundtrip(self):
         source = make_source()
         clone = pickle.loads(pickle.dumps(source))
-        a = [e.batch.counts.tolist() for e in source.stream(0)]
-        b = [e.batch.counts.tolist() for e in clone.stream(0)]
-        assert a == b
+        assert counts(source, 0) == counts(clone, 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="popularity"):
-            make_source().__class__(
-                popularity=(),
+        with pytest.raises(ValueError, match="shares"):
+            FixedPopularityStream(
+                shares=(),
                 rate_per_edp=1.0,
-                timeliness=TimelinessModel(),
                 n_slots=2,
                 dt=0.1,
-                seed=0,
                 n_edps=1,
             )
         with pytest.raises(IndexError, match="out of range"):
-            make_source(n_edps=3).rng_pair_for(3)
+            make_source(n_edps=3).request_rng(3, 0)
 
 
 class TestPartition:
     def test_covers_every_edp_once(self):
-        shards = partition_edps(10, 3)
+        shards = partition_indices(10, 3)
         flat = [e for shard in shards for e in shard]
         assert flat == list(range(10))
 
     def test_near_even_sizes(self):
-        sizes = [len(s) for s in partition_edps(10, 3)]
+        sizes = [len(s) for s in partition_indices(10, 3)]
         assert max(sizes) - min(sizes) <= 1
 
     def test_more_shards_than_edps_collapses(self):
-        shards = partition_edps(3, 8)
+        shards = partition_indices(3, 8)
         assert len(shards) == 3
         assert all(len(s) == 1 for s in shards)
 
     def test_single_shard(self):
-        assert partition_edps(4, 1) == [(0, 1, 2, 3)]
+        assert partition_indices(4, 1) == [(0, 1, 2, 3)]
 
     def test_zero_edps_yield_zero_shards(self):
         # An empty population shards to an empty plan — the engine
         # still refuses to *run* with no EDPs, but partitioning is
         # well defined (the fig-sweep runners rely on this).
-        assert partition_edps(0, 2) == []
+        assert partition_indices(0, 2) == []
 
     def test_validation(self):
         with pytest.raises(ValueError, match="negative"):
-            partition_edps(-1, 2)
-        with pytest.raises(ValueError, match="shard"):
-            partition_edps(4, 0)
+            partition_indices(-1, 2)
+        with pytest.raises(ValueError, match="group"):
+            partition_indices(4, 0)

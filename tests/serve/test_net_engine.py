@@ -14,6 +14,7 @@ import pytest
 from repro.content.workloads import zipf_workload
 from repro.obs.telemetry import SolverTelemetry
 from repro.runtime import ParallelExecutor, SerialExecutor
+from repro.serve import LanePopularityStream, workload_stream
 from repro.serve.net import (
     NetworkReplayEngine,
     NetworkReplaySpec,
@@ -21,6 +22,21 @@ from repro.serve.net import (
 )
 
 BACKENDS = {"serial": SerialExecutor, "process": lambda: ParallelExecutor(workers=2)}
+
+
+def net_engine(workload, topology, n_replicas=2, seed=0, n_slots=25, **kw):
+    """An engine replaying the canned workload over a unit horizon."""
+    topology = parse_topology(topology) if isinstance(topology, str) else topology
+    stream = workload_stream(
+        workload,
+        n_edps=n_replicas * topology.n_receivers,
+        n_slots=n_slots,
+        dt=1.0 / n_slots,
+        seed=seed,
+    )
+    return NetworkReplayEngine(
+        workload, topology, n_replicas=n_replicas, stream=stream, **kw
+    )
 
 
 def normalised_events(buffer):
@@ -47,7 +63,7 @@ def net_workload():
 
 @pytest.fixture(scope="module")
 def path_engine(net_workload):
-    return NetworkReplayEngine(
+    return net_engine(
         net_workload, "path:6", n_replicas=3, capacity_fraction=0.2, seed=0
     )
 
@@ -55,15 +71,15 @@ def path_engine(net_workload):
 class TestSpec:
     def test_engine_spec_is_consistent(self, path_engine):
         spec = path_engine.spec()
-        assert spec.source.n_edps == spec.n_replicas * spec.n_receivers
+        assert spec.stream.n_edps == spec.n_replicas * spec.n_receivers
         assert spec.node_capacity_mb == path_engine.node_capacity_mb
 
     def test_stream_geometry_mismatch_raises(self, path_engine):
         spec = path_engine.spec()
-        with pytest.raises(ValueError, match="streams"):
+        with pytest.raises(ValueError, match="lanes"):
             NetworkReplaySpec(
                 topology=spec.topology,
-                source=spec.source,
+                stream=spec.stream,
                 n_receivers=spec.n_receivers,
                 n_replicas=spec.n_replicas + 1,
                 sizes_mb=spec.sizes_mb,
@@ -73,25 +89,20 @@ class TestSpec:
             )
 
     def test_receiver_popularity_shape_checked(self, path_engine):
-        spec = path_engine.spec()
-        with pytest.raises(ValueError, match="receiver_popularity"):
-            NetworkReplaySpec(
-                topology=spec.topology,
-                source=spec.source,
-                n_receivers=spec.n_receivers,
-                n_replicas=spec.n_replicas,
-                sizes_mb=spec.sizes_mb,
-                node_capacity_mb=spec.node_capacity_mb,
-                queue_capacity=spec.queue_capacity,
-                queue_service_rate=spec.queue_service_rate,
-                receiver_popularity=np.ones((spec.n_receivers + 1, 2)),
+        stream = path_engine.stream
+        with pytest.raises(ValueError, match="lane_shares"):
+            LanePopularityStream(
+                shares=stream.shares,
+                lane_shares=np.ones((2, stream.n_contents + 1)),
+                n_edps=stream.n_edps,
+                n_slots=stream.n_slots,
+                dt=stream.dt,
+                rate_per_edp=stream.rate_per_edp,
             )
 
     def test_tiny_node_capacity_rejected(self, net_workload):
         with pytest.raises(ValueError, match="holds no content"):
-            NetworkReplayEngine(
-                net_workload, "path:4", capacity_fraction=0.01
-            )
+            net_engine(net_workload, "path:4", capacity_fraction=0.01)
 
 
 class TestReplaySemantics:
@@ -150,16 +161,26 @@ class TestReceiverPopularity:
         topo = parse_topology("ring:4")
         focused = np.zeros((topo.n_receivers, len(net_workload.catalog)))
         focused[:, 0] = 1.0
-        base = NetworkReplayEngine(
+        base = net_engine(
             net_workload, topo, n_replicas=2, capacity_fraction=0.2, seed=3
-        ).replay("lce")
+        )
+        stream = base.stream
         single = NetworkReplayEngine(
-            net_workload, topo, n_replicas=2, capacity_fraction=0.2, seed=3,
-            receiver_popularity=focused,
+            net_workload, topo, n_replicas=2, capacity_fraction=0.2,
+            stream=LanePopularityStream(
+                shares=stream.shares,
+                lane_shares=focused,
+                n_edps=stream.n_edps,
+                n_slots=stream.n_slots,
+                dt=stream.dt,
+                rate_per_edp=stream.rate_per_edp,
+                seed=stream.seed,
+                timeliness=stream.timeliness,
+            ),
         ).replay("lce")
         # Everyone asking for one cacheable content must beat the
         # Zipf mix at the same budget.
-        assert single.hit_ratio > base.hit_ratio
+        assert single.hit_ratio > base.replay("lce").hit_ratio
 
 
 class TestDeterminism:
@@ -169,7 +190,7 @@ class TestDeterminism:
         for name, factory in BACKENDS.items():
             buffer = io.StringIO()
             telemetry = SolverTelemetry.to_jsonl(buffer)
-            engine = NetworkReplayEngine(
+            engine = net_engine(
                 net_workload, "tree:2x2", n_replicas=4, shards=2,
                 capacity_fraction=0.2, seed=5,
                 executor=factory(), telemetry=telemetry,
@@ -199,7 +220,7 @@ class TestDeterminism:
     def test_shard_count_never_changes_results(
         self, net_workload, shards, runs
     ):
-        engine = NetworkReplayEngine(
+        engine = net_engine(
             net_workload, "tree:2x2", n_replicas=4, shards=shards,
             capacity_fraction=0.2, seed=5,
         )
@@ -213,7 +234,7 @@ class TestMFGAcceptance:
         """The ISSUE acceptance run: 15-router binary tree, Zipf(1)."""
         workload = zipf_workload(n_contents=12, alpha=1.0,
                                  rate_per_edp=60.0, seed=0)
-        engine = NetworkReplayEngine(
+        engine = net_engine(
             workload, "tree:2x4", n_replicas=4, capacity_fraction=0.1, seed=0
         )
         return engine, {

@@ -164,13 +164,13 @@ class TestMFGAdapter:
 
 class TestFromEquilibria:
     def test_tables_cover_all_slots_and_contents(self, engine, equilibria):
-        slot_times = engine.source.slot_times()
+        slot_times = engine.stream.slot_times()
         adapter = MFGPolicyAdapter.from_equilibria(
             equilibria,
             sizes_mb=engine.sizes_mb,
             update_periods=engine.update_periods,
             slot_times=slot_times,
-            horizon=engine.source.horizon,
+            horizon=engine.stream.horizon,
         )
         k = len(engine.sizes_mb)
         assert adapter.rate.shape == (len(slot_times), k)
@@ -184,11 +184,11 @@ class TestFromEquilibria:
         kwargs = dict(
             sizes_mb=engine.sizes_mb,
             update_periods=engine.update_periods,
-            slot_times=engine.source.slot_times(),
+            slot_times=engine.stream.slot_times(),
         )
         default = MFGPolicyAdapter.from_equilibria(equilibria, **kwargs)
         explicit = MFGPolicyAdapter.from_equilibria(
-            equilibria, horizon=engine.source.horizon, **kwargs
+            equilibria, horizon=engine.stream.horizon, **kwargs
         )
         np.testing.assert_allclose(default.rate, explicit.rate, rtol=0, atol=1e-12)
         np.testing.assert_allclose(default.score, explicit.score, rtol=0, atol=1e-12)
@@ -212,7 +212,7 @@ class TestFromEquilibria:
                 partial,
                 sizes_mb=engine.sizes_mb,
                 update_periods=engine.update_periods,
-                slot_times=engine.source.slot_times(),
+                slot_times=engine.stream.slot_times(),
             )
 
 
@@ -224,13 +224,13 @@ class TestFactory:
                 kwargs = dict(
                     equilibria=equilibria,
                     update_periods=engine.update_periods,
-                    slot_times=engine.source.slot_times(),
-                    horizon=engine.source.horizon,
+                    slot_times=engine.stream.slot_times(),
+                    horizon=engine.stream.horizon,
                 )
             policy = make_policy(
                 name,
                 sizes_mb=engine.sizes_mb,
-                popularity=engine.source.popularity,
+                popularity=engine.stream.popularity,
                 **kwargs,
             )
             assert policy.name == name

@@ -4,8 +4,9 @@ Pins the demand shapes the property suite takes for granted: Zipf
 exponent and popularity moments, diurnal phase boundaries, flash-crowd
 spike placement, shuffled-popularity permutation determinism, and
 trace-file streaming with ``load_trace_csv``-matching skip counts.
-Also covers the :class:`RequestChunk` container, the engine-level
-validation of stream mode, and the live-status stream block.
+Also covers per-lane demand, the canned-scenario bridge, the
+:class:`RequestChunk` container, the engines' stream validation, and
+the live-status stream block.
 """
 
 import json
@@ -21,6 +22,7 @@ from repro.serve.stream import (
     DiurnalStream,
     FixedPopularityStream,
     FlashCrowdStream,
+    LanePopularityStream,
     RequestChunk,
     STREAM_WORKLOADS,
     ShuffledZipfStream,
@@ -29,6 +31,7 @@ from repro.serve.stream import (
     concat_chunks,
     make_stream,
     stream_workload,
+    workload_stream,
 )
 
 GEOMETRY = dict(n_edps=2, n_slots=12, dt=0.5, rate_per_edp=20.0, seed=3)
@@ -61,7 +64,7 @@ class TestZipfStream:
         empirical = counts.mean(axis=0)
         np.testing.assert_allclose(empirical, stream.intensities(0), rtol=0.1)
         total = counts.sum()
-        assert total == pytest.approx(stream.expected_total_requests(), rel=0.05)
+        assert total == pytest.approx(stream.expected_measured_requests(), rel=0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one content"):
@@ -265,15 +268,6 @@ class TestRequestChunk:
                 )
                 assert len(cell) == chunk.counts[s, c]
 
-    def test_slot_batches_legacy_view(self):
-        chunk = self.chunk()
-        batches = list(chunk.slot_batches())
-        assert [slot for slot, _, _ in batches] == [4, 5, 6, 7]
-        for (slot, t, batch), row in zip(batches, chunk.counts):
-            assert t == pytest.approx((slot + 0.5) * chunk.dt)
-            assert np.array_equal(batch.counts, row)
-            assert [len(g) for g in batch.timeliness] == list(row)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="n_slots, n_contents"):
             RequestChunk(
@@ -297,6 +291,51 @@ class TestRequestChunk:
             concat_chunks([chunks[0], stream.chunk(1, 1, 4)])
         with pytest.raises(ValueError, match="no chunks"):
             concat_chunks([])
+
+
+class TestLanePopularityStream:
+    def make(self, lane_shares=np.array([[1.0, 0.0], [0.0, 3.0]])):
+        return LanePopularityStream(
+            shares=(0.5, 0.5),
+            lane_shares=lane_shares,
+            **dict(GEOMETRY, n_edps=4),
+        )
+
+    def test_lane_draws_from_its_row(self):
+        stream = self.make()
+        for edp in range(stream.n_edps):
+            counts = stream.materialize(edp).counts
+            row = edp % 2
+            assert counts[:, 1 - row].sum() == 0
+            assert counts[:, row].sum() > 0
+
+    def test_global_shares_are_what_policies_see(self):
+        stream = self.make()
+        assert stream.popularity == (0.5, 0.5)
+        assert stream.lane_shares == ((1.0, 0.0), (0.0, 3.0))
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="lane_shares shape"):
+            self.make(lane_shares=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="positive mass"):
+            self.make(lane_shares=((0.0, 0.0),))
+
+
+class TestWorkloadStream:
+    def test_replays_the_scenario_demand(self):
+        from repro.content.workloads import video_marketplace
+
+        workload = video_marketplace(n_contents=5, seed=2)
+        stream = workload_stream(workload, n_edps=3, n_slots=8, dt=0.125)
+        np.testing.assert_allclose(
+            stream.popularity, workload.popularity / workload.popularity.sum()
+        )
+        assert stream.timeliness is workload.timeliness_model
+        assert stream.rate_per_edp == workload.requests.rate_per_edp
+        override = workload_stream(
+            workload, n_edps=3, n_slots=8, dt=0.125, rate_per_edp=7.0
+        )
+        assert override.rate_per_edp == 7.0
 
 
 class TestMakeStream:
@@ -370,14 +409,6 @@ class TestEngineStreamValidation:
             **dict(GEOMETRY, n_edps=n_edps),
         )
 
-    def test_rate_conflicts_with_stream(self):
-        stream = self.make_stream()
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ServingEngine(
-                stream_workload(stream), 4,
-                stream=stream, rate_per_edp=5.0,
-            )
-
     def test_edp_count_must_match(self):
         stream = self.make_stream(n_edps=4)
         with pytest.raises(ValueError, match="covers 4 EDPs"):
@@ -394,19 +425,6 @@ class TestEngineStreamValidation:
         with pytest.raises(ValueError, match="stream_chunk"):
             ServingEngine(
                 stream_workload(stream), 4, stream=stream, stream_chunk=-1
-            )
-
-    def test_net_engine_rejects_receiver_popularity_with_stream(self):
-        stream = ZipfStream(
-            n_catalog=6, n_edps=4, n_slots=12, dt=0.5,
-            rate_per_edp=20.0, seed=3,
-        )
-        with pytest.raises(ValueError, match="not supported in stream mode"):
-            NetworkReplayEngine(
-                stream_workload(stream),
-                "path:4",
-                stream=stream,
-                receiver_popularity=np.ones((2, 6)),
             )
 
     def test_net_engine_lane_count_must_match(self):
@@ -442,6 +460,41 @@ class TestLiveStreamStatus:
         assert stream["chunk_slots"] == 8
         assert stream["n_chunks"] == 4
         assert stream["progress"] == pytest.approx(0.25)
+
+    def test_progress_reaches_one_with_warmup(self, tmp_path):
+        """Progress counts measured slots only, as the replay folds."""
+        from repro.obs import LiveStatusWriter, read_status
+        from repro.obs.telemetry import SolverTelemetry
+
+        stream = ZipfStream(n_catalog=4, **GEOMETRY, warmup_slots=6)
+        tele = SolverTelemetry.to_jsonl(tmp_path / "run.jsonl")
+        tele.set_live(LiveStatusWriter(tmp_path / "status.json", every=1))
+        engine = ServingEngine(
+            stream_workload(stream), stream.n_edps, stream=stream,
+            capacity_fraction=0.5, telemetry=tele,
+        )
+        report = engine.replay("lru")
+        tele.close()
+        progress = read_status(tmp_path / "status.json")["stream"]["progress"]
+        expected = report.requests / stream.expected_measured_requests()
+        assert progress == pytest.approx(min(expected, 1.0), abs=1e-6)
+        assert progress > 0.8
+
+    def test_progress_restarts_with_each_replay(self, tmp_path):
+        """A comparison's later replays start again from zero progress."""
+        from repro.obs.live import LiveStatusWriter
+
+        live = LiveStatusWriter(tmp_path / "status.json", every=1)
+        geometry = dict(
+            workload="ZipfStream", chunk_slots=8, n_chunks=4,
+            expected_requests=1000.0,
+        )
+        live.set_stream(**geometry)
+        live.note_requests(1000, hits=500, latency_s=1.0)
+        assert live.snapshot()["stream"]["progress"] == pytest.approx(1.0)
+        live.set_stream(**geometry)
+        live.note_requests(250, hits=100, latency_s=1.0)
+        assert live.snapshot()["stream"]["progress"] == pytest.approx(0.25)
 
     def test_watch_renders_stream_line(self):
         from repro.obs.watch import render_status

@@ -91,6 +91,6 @@ def test_materialized_replay_for_scale_reference():
     stream = ZipfStream(
         n_catalog=16, n_edps=8, n_slots=500, dt=1.0, rate_per_edp=250.0, seed=3
     )
-    expected = stream.expected_total_requests()
+    expected = stream.expected_measured_requests()
     requests, _ = _measure(500)
     assert requests == pytest.approx(expected, rel=0.01)
