@@ -40,7 +40,16 @@ Semantics (documented in ``docs/serving.md``)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -49,7 +58,7 @@ from repro.core.equilibrium import EquilibriumResult
 from repro.core.parameters import MFGCPConfig
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
 from repro.runtime import ExecutionPlan, ExecutorLike, as_executor, partition_indices
-from repro.serve.cache import EdgeCache
+from repro.serve.cache import CacheEntry, EdgeCache
 from repro.serve.engine import (
     equilibrium_configs,
     set_live_stream,
@@ -136,18 +145,86 @@ class NetworkReplaySpec:
             )
 
 
-def _serve_receiver_slot(
+class _Hop(NamedTuple):
+    """One caching position of a receiver's route, bound to a replica."""
+
+    node: int
+    cache: EdgeCache
+    lookup: Callable[[int], Optional[CacheEntry]]
+    queue: AdmissionQueue
+    stats: NodeServingStats
+    depth: int
+    # Capacity of the caching nodes from the receiver side up to and
+    # including this one (ProbCache's N, before dividing by the size).
+    prefix_capacity_mb: float
+
+
+class _RoutePlan(NamedTuple):
+    """Everything one receiver's slot batches need, resolved once.
+
+    ``hops[i]`` is route position ``i + 1``; the route's last position
+    is the source.  A plan holds one replica's caches, queues and
+    per-node stats, so each replica builds its own.
+    """
+
+    strategy: PlacementStrategy
+    sizes_mb: Tuple[float, ...]
+    max_depth: int
+    route_latency: Tuple[float, ...]
+    hops: Tuple[_Hop, ...]
+
+
+def _route_plans(
     spec: NetworkReplaySpec,
     strategy: PlacementStrategy,
     caches: Dict[int, EdgeCache],
     queues: Dict[int, AdmissionQueue],
     stats: NetworkReplayStats,
-    receiver: int,
+) -> List[_RoutePlan]:
+    """One :class:`_RoutePlan` per receiver over this replica's state."""
+    topo = spec.topology
+    max_depth = max(int(topo.depths[v]) for v in topo.routers)
+    plans = []
+    for receiver in range(spec.n_receivers):
+        route = topo.routes[receiver]
+        hops = []
+        prefix = 0.0
+        for node in route[1:-1]:
+            cache = caches[node]
+            # An explicit left-to-right sum, as EdgeCache.used_mb
+            # keeps: builtin sum() of floats rounds differently across
+            # Python versions.
+            prefix += cache.capacity_mb
+            hops.append(
+                _Hop(
+                    node,
+                    cache,
+                    cache.entries.get,
+                    queues[node],
+                    stats.per_node[node],
+                    int(topo.depths[node]),
+                    prefix,
+                )
+            )
+        plans.append(
+            _RoutePlan(
+                strategy,
+                spec.sizes_mb,
+                max_depth,
+                topo.route_latencies[receiver],
+                tuple(hops),
+            )
+        )
+    return plans
+
+
+def _serve_receiver_slot(
+    plan: _RoutePlan,
+    stats: NetworkReplayStats,
     slot: int,
     t: float,
     counts: np.ndarray,
     policy_rng: np.random.Generator,
-    max_depth: int,
     measured: bool = True,
 ) -> None:
     """Serve one receiver's slot batch: probe, account, place.
@@ -157,19 +234,20 @@ def _serve_receiver_slot(
     gates every stats counter (warmup slots mutate caches and queues
     but report nothing).
     """
-    topo = spec.topology
-    sizes = spec.sizes_mb
-    route = topo.routes[receiver]
-    route_latency = topo.route_latencies[receiver]
-    for k in np.nonzero(counts)[0]:
-        k = int(k)
-        count = int(counts[k])
+    strategy, sizes, max_depth, route_latency, hops = plan
+    should_place = strategy.should_place
+    source_pos = len(hops) + 1
+    # Native ints for the cell loop: numpy scalar conversions per cell
+    # cost more than the bookkeeping they feed.
+    slot_counts = counts.tolist()
+    for k in np.flatnonzero(counts).tolist():
+        count = slot_counts[k]
         # Probe hop by hop toward the origin; positions
-        # 1..len-2 are caching routers, the last is the source.
-        serving_pos = len(route) - 1
+        # 1..len(hops) are caching routers, source_pos is the source.
+        serving_pos = source_pos
         entry = None
-        for pos in range(1, len(route) - 1):
-            entry = caches[route[pos]].lookup(k)
+        for pos, hop in enumerate(hops, 1):
+            entry = hop.lookup(k)
             if entry is not None:
                 serving_pos = pos
                 break
@@ -183,7 +261,7 @@ def _serve_receiver_slot(
             entry.hits += count
             if measured:
                 stats.cache_hits += count
-                stats.per_node[route[serving_pos]].hits += count
+                hops[serving_pos - 1].stats.hits += count
         elif measured:
             stats.source_hits += count
 
@@ -195,32 +273,27 @@ def _serve_receiver_slot(
         size = sizes[k]
         downstream_index = 0
         for pos in range(serving_pos - 1, 0, -1):
-            node = route[pos]
-            cache = caches[node]
+            node, cache, _, queue, node_stats, depth, prefix = hops[pos - 1]
             downstream_index += 1
             site = PlacementSite(
-                node=node,
-                slot=slot,
-                content=k,
-                hops_from_server=serving_pos - pos,
-                hops_to_receiver=pos,
-                path_len=serving_pos,
-                downstream_index=downstream_index,
-                is_edge=(pos == 1),
-                depth=int(topo.depths[node]),
-                max_depth=max_depth,
-                path_capacity=sum(
-                    caches[route[p]].capacity_mb for p in range(1, pos + 1)
-                )
-                / size,
-                node_capacity=cache.capacity_mb / size,
+                node,
+                slot,
+                k,
+                serving_pos - pos,
+                pos,
+                serving_pos,
+                downstream_index,
+                pos == 1,
+                depth,
+                max_depth,
+                prefix / size,
+                cache.capacity_mb / size,
             )
-            if not strategy.should_place(site, policy_rng):
+            if not should_place(site, policy_rng):
                 continue
             if measured:
                 stats.placement_attempts += 1
-            node_stats = stats.per_node[node]
-            if not queues[node].offer(t):
+            if not queue.offer(t):
                 continue
             if not cache.fits(size):
                 continue
@@ -292,7 +365,7 @@ def _replay_replica_chunks(
     stats = NetworkReplayStats.empty(topo)
     stats.replicas = 1
     stats.elapsed_t = stream.measured_slots * stream.dt
-    max_depth = max(int(topo.depths[v]) for v in topo.routers)
+    plans = _route_plans(spec, strategy, caches, queues, stats)
     warmup = stream.warmup_slots
     lanes = [replica * spec.n_receivers + r for r in range(spec.n_receivers)]
     chunk_slots = spec.chunk_slots or stream.n_slots
@@ -320,18 +393,13 @@ def _replay_replica_chunks(
                 if not counts.any():
                     continue
                 _serve_receiver_slot(
-                    spec,
-                    strategy,
-                    caches,
-                    queues,
+                    plans[r],
                     stats,
-                    r,
                     slot,
                     t,
                     counts,
                     stream.policy_rng(lanes[r], slot),
-                    max_depth,
-                    measured=measured,
+                    measured,
                 )
 
     for node, queue in sorted(queues.items()):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +61,7 @@ STRATEGY_NAMES = ("lce", "lcd", "probcache", "edge", "mfg")
 PROBCACHE_T_TW = 10.0
 
 
-@dataclass(frozen=True)
-class PlacementSite:
+class PlacementSite(NamedTuple):
     """One caching node's view of a return-path placement decision.
 
     Attributes
@@ -266,7 +265,14 @@ class MFGNetworkStrategy(DecisionRows, PlacementStrategy):
         return self._rate_rows[site.slot][site.content] * depth_scale
 
     def should_place(self, site, rng):
-        return bool(rng.random() < self.admission_probability(site))
+        # admission_probability inlined: this runs once per candidate
+        # node of every placement walk.
+        depth_scale = (
+            site.depth / site.max_depth if site.max_depth > 0 else 1.0
+        )
+        return rng.random() < (
+            self._rate_rows[site.slot][site.content] * depth_scale
+        )
 
     def victim(self, slot, cache, rng):
         del rng

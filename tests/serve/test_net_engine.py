@@ -7,6 +7,7 @@ requiring bit-identical reports and identical normalised telemetry.
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from repro.serve.net import (
     NetworkReplaySpec,
     parse_topology,
 )
+from repro.serve.net.engine import replay_network_shard
+from repro.serve.net.strategies import LCEStrategy
+from repro.serve.stream import ZipfStream
 
 BACKENDS = {"serial": SerialExecutor, "process": lambda: ParallelExecutor(workers=2)}
 
@@ -103,6 +107,55 @@ class TestSpec:
     def test_tiny_node_capacity_rejected(self, net_workload):
         with pytest.raises(ValueError, match="holds no content"):
             net_engine(net_workload, "path:4", capacity_fraction=0.01)
+
+
+class TestPrefixCapacity:
+    def test_sites_sum_route_capacity_left_to_right(self):
+        """ProbCache's ``N`` adds node capacities one at a time.
+
+        At 0.1 MB per node the running float sum and a compensated sum
+        (``math.fsum``; builtin ``sum()`` from Python 3.12) first
+        disagree at the sixth node, so an eight-router path tells the
+        two apart.
+        """
+        capacity, size = 0.1, 0.05
+        topology = parse_topology("path:10")
+        n_routers = len(topology.routers)
+        assert n_routers == 8
+
+        class Recording(LCEStrategy):
+            def __init__(self):
+                self.seen = {}
+
+            def should_place(self, site, rng):
+                self.seen.setdefault(site.hops_to_receiver, site.path_capacity)
+                return False
+
+        spec = NetworkReplaySpec(
+            topology=topology,
+            stream=ZipfStream(
+                n_edps=1, n_slots=2, dt=1.0, rate_per_edp=5.0, n_catalog=2
+            ),
+            n_receivers=1,
+            n_replicas=1,
+            sizes_mb=(size, size),
+            node_capacity_mb=capacity,
+            queue_capacity=4,
+            queue_service_rate=1.0,
+        )
+        strategy = Recording()
+        replay_network_shard(spec, strategy, (0,))
+        assert sorted(strategy.seen) == list(range(1, n_routers + 1))
+
+        running = 0.0
+        for hops in range(1, n_routers + 1):
+            running += capacity
+            assert strategy.seen[hops] == running / size
+        compensated = [
+            math.fsum([capacity] * hops) / size
+            for hops in range(1, n_routers + 1)
+        ]
+        assert [strategy.seen[h] for h in range(1, n_routers + 1)] != compensated
 
 
 class TestReplaySemantics:

@@ -1,5 +1,7 @@
 """Placement-strategy semantics: LCE, LCD, ProbCache, edge-only, MFG."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,34 @@ def site(**overrides):
 
 
 RNG = np.random.default_rng(0)
+
+
+class FixedDraw:
+    """An RNG stand-in whose every uniform draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestPlacementSite:
+    def test_keyword_and_positional_construction_agree(self):
+        # The replay builds sites positionally, so the order is API.
+        assert PlacementSite._fields == (
+            "node", "slot", "content", "hops_from_server",
+            "hops_to_receiver", "path_len", "downstream_index", "is_edge",
+            "depth", "max_depth", "path_capacity", "node_capacity",
+        )
+        positional = PlacementSite(2, 0, 1, 1, 2, 3, 1, False, 2, 3, 4.0, 2.0)
+        assert positional == site()
+
+    def test_fields_are_read_only(self):
+        s = site()
+        with pytest.raises(AttributeError):
+            s.depth = 1
+
 
 
 class TestClassical:
@@ -97,6 +127,20 @@ class TestMFGStrategy:
             site(slot=0, content=0, depth=0, max_depth=0)
         )
         assert p == pytest.approx(0.5)
+
+    def test_should_place_compares_the_admission_probability(self):
+        rate = np.random.default_rng(3).random((4, 5))
+        strategy = MFGNetworkStrategy(rate=rate, score=np.zeros((4, 5)))
+        for slot, content, depth, max_depth in [
+            (0, 0, 3, 3), (1, 4, 1, 3), (3, 2, 2, 7), (2, 1, 0, 0),
+        ]:
+            s = site(slot=slot, content=content, depth=depth,
+                     max_depth=max_depth)
+            p = strategy.admission_probability(s)
+            # A draw of exactly p is refused; the next float below it
+            # is admitted, so should_place compares against p itself.
+            assert not strategy.should_place(s, FixedDraw(p))
+            assert strategy.should_place(s, FixedDraw(math.nextafter(p, 0.0)))
 
     def test_victim_prefers_lowest_score(self):
         score = np.array([[0.9, 0.1, 0.5]])
