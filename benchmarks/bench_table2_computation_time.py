@@ -10,9 +10,12 @@ Paper claims reproduced here:
 
 ``test_batched_epoch_computation_time`` extends the table with the
 solver-side axis the paper's O(K psi) remark leaves implicit: the
-K-content equilibrium solve itself, per content (scalar) vs one
-batched tensor sweep over the whole catalog.  Run as a module to
-record that comparison as JSON for CI trending::
+K-content equilibrium solve itself, one work item per content (each a
+one-lane batch) vs one batched tensor sweep over the whole catalog.
+Both run the same batched solver, so the comparison measures the item
+grain; the recorded ``scalar_*`` keys keep their names for trend
+continuity and time the per-content items.  Run as a module to record
+that comparison as JSON for CI trending::
 
     PYTHONPATH=src python benchmarks/bench_table2_computation_time.py BENCH_batch.json
 """
@@ -37,7 +40,7 @@ except ImportError:  # running as a plain script, outside pytest
     run_once = None
 
 BATCH_CATALOG = 64
-"""Catalog size for the scalar-vs-batched wall-clock comparison —
+"""Catalog size for the per-content vs batched wall-clock comparison —
 small enough to keep the committed baseline cheap to regenerate,
 large enough that the batched sweep's advantage is unambiguous."""
 
@@ -95,7 +98,7 @@ def _equilibria_fingerprint(results):
 def _mfgcp_epoch(solver_batching=False):
     """One MFG-CP epoch over a ``BATCH_CATALOG``-content catalog.
 
-    Inputs are rebuilt per call so the scalar and batched runs consume
+    Inputs are rebuilt per call so the per-content and batched runs consume
     identical catalogs and request traces; returns ``(results, secs)``.
     The request rate keeps the whole catalog in the active set so the
     comparison covers every content.
@@ -124,7 +127,7 @@ def _mfgcp_epoch(solver_batching=False):
 
 
 def measure_batched():
-    """Scalar vs batched epoch wall-clock, with the bit-identity check."""
+    """Per-content vs batched epoch wall-clock, with the bit-identity check."""
     scalar_results, scalar_s = _mfgcp_epoch()
     batched_results, batched_s = _mfgcp_epoch(solver_batching=True)
 
@@ -133,7 +136,7 @@ def measure_batched():
     assert scalar_fp.keys() == batched_fp.keys()
     for key in scalar_fp:
         assert np.array_equal(scalar_fp[key], batched_fp[key]), (
-            f"{key} differs between the scalar and batched solvers"
+            f"{key} differs between per-content items and batched shards"
         )
 
     n_active = len(scalar_results[0].active_contents)
@@ -157,13 +160,13 @@ def test_batched_epoch_computation_time(benchmark):
 
     print(
         f"\nMFG-CP epoch solver — {record['n_contents']} contents, "
-        "scalar vs batched (wall-clock seconds)"
+        "per-content items vs batched (wall-clock seconds)"
     )
     print_table(
         ["Solver", "seconds", "s / content"],
         [
             (
-                "per-content scalar",
+                "per-content items",
                 record["scalar_s"],
                 record["scalar_s_per_content"],
             ),
@@ -179,7 +182,8 @@ def test_batched_epoch_computation_time(benchmark):
     # The 5x acceptance floor lives in bench_runtime_scaling (256
     # contents); this smaller catalog just has to show a clear win.
     assert record["speedup"] > 2.0, (
-        f"batched epoch should clearly beat scalar, got x{record['speedup']:.1f}"
+        f"batched epoch should clearly beat per-content items, "
+        f"got x{record['speedup']:.1f}"
     )
 
 
@@ -190,7 +194,7 @@ if __name__ == "__main__":
     record = measure_batched()
     doc = append_bench_entry(out_path, record, bench="batch")
     print(
-        f"{record['n_contents']} contents: scalar {record['scalar_s']:.2f}s, "
+        f"{record['n_contents']} contents: per-content {record['scalar_s']:.2f}s, "
         f"batched {record['batched_s']:.2f}s (x{record['speedup']:.1f})"
     )
     print(f"appended entry {len(doc['entries'])} to {out_path}")

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.equilibrium import ConvergenceReport, EquilibriumResult, IterationRecord
-from repro.core.fpk import BatchedFPKSolver, FPKSolver, batched_initial_density, initial_density
+from repro.core.fpk import BatchedFPKSolver, FPKSolver, batched_initial_density
 from repro.core.grid import BatchGrid, StateGrid
 from repro.core.hjb import BatchedHJBSolver, HJBSolution, HJBSolver
 from repro.core.mean_field import MeanFieldEstimator
@@ -55,195 +55,6 @@ def build_grid(config: MFGCPConfig) -> StateGrid:
         q_max=config.content_size,
         n_q=config.n_q,
     )
-
-
-class BestResponseIterator:
-    """Algorithm 2 bound to one configuration."""
-
-    def __init__(
-        self,
-        config: MFGCPConfig,
-        grid: Optional[StateGrid] = None,
-        telemetry: Optional[SolverTelemetry] = None,
-    ) -> None:
-        self.config = config
-        self.grid = grid if grid is not None else build_grid(config)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.hjb = HJBSolver(config, self.grid)
-        self.fpk = FPKSolver(config, self.grid, telemetry=self.telemetry)
-        self.estimator = MeanFieldEstimator(config, self.grid)
-
-    def initial_policy(self, level: float = 0.5) -> np.ndarray:
-        """The bootstrap policy table ``x^0`` (constant caching rate)."""
-        if not 0.0 <= level <= 1.0:
-            raise ValueError(f"policy level must lie in [0, 1], got {level}")
-        return np.full(self.grid.path_shape, float(level))
-
-    def solve(
-        self,
-        density0: Optional[np.ndarray] = None,
-        initial_policy_level: float = 0.5,
-        initial_policy: Optional[np.ndarray] = None,
-    ) -> EquilibriumResult:
-        """Run the fixed-point loop to an MFG equilibrium.
-
-        Parameters
-        ----------
-        density0:
-            Initial population density ``lambda(0)``; defaults to the
-            configured truncated normal.
-        initial_policy_level:
-            The constant bootstrap policy ``x^0``.
-        initial_policy:
-            Optional full bootstrap policy table (overrides the
-            constant level) — warm-starting from a neighbouring
-            parameter point's equilibrium cuts the iteration count in
-            sweeps.
-        """
-        cfg = self.config
-        grid = self.grid
-        tele = self.telemetry
-        if density0 is None:
-            density0 = initial_density(grid, cfg)
-
-        if initial_policy is not None:
-            policy_table = np.asarray(initial_policy, dtype=float).copy()
-            if policy_table.shape != grid.path_shape:
-                raise ValueError(
-                    f"initial policy shape {policy_table.shape} != grid "
-                    f"{grid.path_shape}"
-                )
-            if np.any(policy_table < -1e-9) or np.any(policy_table > 1 + 1e-9):
-                raise ValueError("initial policy values must lie in [0, 1]")
-            policy_table = np.clip(policy_table, 0.0, 1.0)
-        else:
-            policy_table = self.initial_policy(initial_policy_level)
-
-        # Numerical-health probes: constructed only for enabled
-        # telemetry, so the NULL_TELEMETRY fast path pays a single
-        # boolean check per hook site below.
-        diagnostics = SolveDiagnostics(tele) if tele.enabled else None
-
-        solve_span = tele.span("solve")
-        solve_span.__enter__()
-        tele.event(
-            "solve_start",
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-            damping=cfg.damping,
-            grid_shape=list(grid.path_shape),
-        )
-        if diagnostics is not None:
-            diagnostics.solve_start(
-                SolveStartContext(
-                    telemetry=tele,
-                    grid=grid,
-                    config=cfg,
-                    fpk=self.fpk,
-                    hjb=self.hjb,
-                )
-            )
-        with tele.span("bootstrap"):
-            density_path = self.fpk.solve(policy_table, density0)
-            mean_field = self.estimator.estimate(density_path, policy_table)
-
-        history = []
-        converged = False
-        policy_change = np.inf
-        solution = None
-        for iteration in range(1, cfg.max_iterations + 1):
-            with tele.span("iteration"):
-                with tele.span("hjb") as sp_hjb:
-                    solution = self.hjb.solve(mean_field)
-                new_table = solution.policy.table
-                policy_change = float(np.max(np.abs(new_table - policy_table)))
-
-                # Damped best-response update (contraction mapping).
-                policy_table = (
-                    (1.0 - cfg.damping) * policy_table + cfg.damping * new_table
-                )
-                with tele.span("fpk") as sp_fpk:
-                    density_path = self.fpk.solve(policy_table, density0)
-                with tele.span("mean_field") as sp_mf:
-                    new_mean_field = self.estimator.estimate(
-                        density_path, policy_table
-                    )
-                mf_change = mean_field.distance(new_mean_field)
-                mean_field = new_mean_field
-
-            history.append(
-                IterationRecord(
-                    iteration=iteration,
-                    policy_change=policy_change,
-                    mean_field_change=mf_change,
-                    mean_price=float(mean_field.price.mean()),
-                    mean_control=float(mean_field.mean_control.mean()),
-                )
-            )
-            if tele.enabled:
-                tele.inc("solver.iterations")
-                tele.observe("solver.hjb_seconds", sp_hjb.duration)
-                tele.observe("solver.fpk_seconds", sp_fpk.duration)
-                tele.event(
-                    "iteration",
-                    iteration=iteration,
-                    policy_change=policy_change,
-                    mean_field_change=mf_change,
-                    mean_price=float(mean_field.price.mean()),
-                    mean_control=float(mean_field.mean_control.mean()),
-                    hjb_s=sp_hjb.duration,
-                    fpk_s=sp_fpk.duration,
-                    mean_field_s=sp_mf.duration,
-                )
-            if diagnostics is not None:
-                diagnostics.iteration(
-                    IterationContext(
-                        telemetry=tele,
-                        grid=grid,
-                        config=cfg,
-                        hjb=self.hjb,
-                        iteration=iteration,
-                        density_path=density_path,
-                        solution=solution,
-                        mean_field=mean_field,
-                        policy_change=policy_change,
-                    )
-                )
-            if policy_change < cfg.tolerance:
-                converged = True
-                break
-
-        assert solution is not None  # max_iterations >= 1 by validation
-        report = ConvergenceReport(
-            converged=converged,
-            n_iterations=len(history),
-            final_policy_change=policy_change,
-            history=history,
-        )
-        if diagnostics is not None:
-            diagnostics.solve_end(
-                SolveEndContext(telemetry=tele, config=cfg, report=report)
-            )
-        solve_span.__exit__(None, None, None)
-        if tele.enabled:
-            tele.gauge("solver.final_policy_change", policy_change)
-            tele.gauge("solver.n_iterations", float(len(history)))
-            tele.event(
-                "solve_end",
-                converged=converged,
-                n_iterations=len(history),
-                final_policy_change=policy_change,
-                solve_s=solve_span.duration,
-            )
-        return EquilibriumResult(
-            config=cfg,
-            grid=grid,
-            value=solution.value,
-            policy=CachingPolicy(grid=grid, table=policy_table),
-            density=density_path,
-            mean_field=mean_field,
-            report=report,
-        )
 
 
 class _LaneTelemetry:
@@ -291,20 +102,20 @@ class _LaneTelemetry:
 class BatchedBestResponseIterator:
     """Algorithm 2 over a batch of contents with a convergence mask.
 
-    Each lane runs exactly the scalar fixed-point loop — bootstrap FPK,
-    then hjb → policy change → damped update → FPK → mean-field
-    refresh — but all active lanes advance through one vectorized
+    This is the one fixed-point loop; a single content is the batch of
+    one lane (:class:`BestResponseIterator`).  Each lane runs bootstrap
+    FPK, then hjb → policy change → damped update → FPK → mean-field
+    refresh, with all active lanes advancing through one vectorized
     backward and forward sweep per iteration.  A lane whose policy
     change drops below tolerance leaves the active set at the end of
-    its iteration (after its FPK/estimator refresh, mirroring the
-    scalar loop's stopping point); frozen lanes are never recomputed,
-    so their value function, density, and policy stay bit-identical to
-    the state at their own convergence.
+    its iteration (after its FPK/estimator refresh); frozen lanes are
+    never recomputed, so their value function, density, and policy stay
+    bit-identical to the state at their own convergence and a lane's
+    equilibrium does not depend on the batch it rides in.
 
     ``content_ids`` labels lanes in telemetry and diagnostics; results
     come back as one :class:`EquilibriumResult` per lane, in input
-    order, each indistinguishable from a scalar
-    :class:`BestResponseIterator` solve of that lane alone.
+    order.
     """
 
     def __init__(
@@ -353,21 +164,56 @@ class BatchedBestResponseIterator:
         ]
 
     def solve(
-        self, initial_policy_level: float = 0.5
+        self,
+        initial_policy_level: float = 0.5,
+        density0: Optional[np.ndarray] = None,
+        initial_policy: Optional[np.ndarray] = None,
     ) -> List[EquilibriumResult]:
-        """Run the masked fixed-point loop to per-content equilibria."""
-        if not 0.0 <= initial_policy_level <= 1.0:
-            raise ValueError(
-                f"policy level must lie in [0, 1], got {initial_policy_level}"
-            )
+        """Run the masked fixed-point loop to per-content equilibria.
+
+        Parameters
+        ----------
+        initial_policy_level:
+            The constant bootstrap policy ``x^0`` of every lane.
+        density0:
+            Initial population densities ``lambda(0)``, shape
+            ``(B, n_h, n_q)``; defaults to each lane's configured
+            truncated normal.
+        initial_policy:
+            Optional full bootstrap policy tables, shape
+            ``(B, n_t + 1, n_h, n_q)`` (overrides the constant level) —
+            warm-starting from a neighbouring parameter point's
+            equilibrium cuts the iteration count in sweeps.
+        """
         grid = self.grid
         tele = self.telemetry
         cfg0 = self.configs[0]
         n_lanes = grid.n_lanes
 
-        density0 = batched_initial_density(grid, self.configs)
-        policy = np.full(grid.path_shape, float(initial_policy_level))
+        if density0 is None:
+            density0 = batched_initial_density(grid, self.configs)
+        else:
+            density0 = np.asarray(density0, dtype=float)
+        if initial_policy is not None:
+            policy = np.asarray(initial_policy, dtype=float).copy()
+            if policy.shape != grid.path_shape:
+                raise ValueError(
+                    f"initial policy shape {policy.shape} != grid "
+                    f"{grid.path_shape}"
+                )
+            if np.any(policy < -1e-9) or np.any(policy > 1 + 1e-9):
+                raise ValueError("initial policy values must lie in [0, 1]")
+            policy = np.clip(policy, 0.0, 1.0)
+        else:
+            if not 0.0 <= initial_policy_level <= 1.0:
+                raise ValueError(
+                    f"policy level must lie in [0, 1], got {initial_policy_level}"
+                )
+            policy = np.full(grid.path_shape, float(initial_policy_level))
 
+        # Numerical-health probes: constructed only for enabled
+        # telemetry, so the NULL_TELEMETRY fast path pays a single
+        # boolean check per hook site below.
         lane_teles = [_LaneTelemetry(tele, k) for k in self.content_ids]
         diagnostics = (
             [SolveDiagnostics(lt) for lt in lane_teles] if tele.enabled else None
@@ -385,14 +231,20 @@ class BatchedBestResponseIterator:
             contents=list(self.content_ids),
         )
         if diagnostics is not None:
+            # The probes inspect one content at a time, through one-lane
+            # views of that lane's config and grid.
+            lane_hjb = [
+                HJBSolver(cfg, lane_grid)
+                for cfg, lane_grid in zip(self.configs, self.lane_grids)
+            ]
             for b, diag in enumerate(diagnostics):
                 diag.solve_start(
                     SolveStartContext(
                         telemetry=lane_teles[b],
                         grid=self.lane_grids[b],
                         config=self.configs[b],
-                        fpk=self.fpk.lane_solvers[b],
-                        hjb=self.hjb.lane_solvers[b],
+                        fpk=FPKSolver(self.configs[b], self.lane_grids[b], tele),
+                        hjb=lane_hjb[b],
                     )
                 )
         with tele.span("bootstrap"):
@@ -475,7 +327,7 @@ class BatchedBestResponseIterator:
                             telemetry=lane_teles[b],
                             grid=lane_grid,
                             config=self.configs[b],
-                            hjb=self.hjb.lane_solvers[b],
+                            hjb=lane_hjb[b],
                             iteration=iteration,
                             density_path=density_paths[b],
                             solution=solution,
@@ -484,8 +336,7 @@ class BatchedBestResponseIterator:
                         )
                     )
             # Convergence mask: lanes below tolerance freeze after this
-            # iteration's FPK/estimator refresh — exactly where the
-            # scalar loop stops — and drop out of the batch.
+            # iteration's FPK/estimator refresh and drop out of the batch.
             done = pc < cfg0.tolerance
             converged[active[done]] = True
             active = active[~done]
@@ -536,3 +387,65 @@ class BatchedBestResponseIterator:
                 solve_s=solve_span.duration,
             )
         return results
+
+
+class BestResponseIterator:
+    """Algorithm 2 bound to one configuration: a one-lane batch.
+
+    Wraps a :class:`BatchedBestResponseIterator` over ``[config]`` and
+    shares its sweeps (``hjb``, ``fpk`` and ``estimator`` are the
+    batch's own objects), so a single content runs the one fixed-point
+    loop and returns its single :class:`EquilibriumResult`.  ``grid`` is
+    the content's :class:`StateGrid`.
+    """
+
+    def __init__(
+        self,
+        config: MFGCPConfig,
+        telemetry: Optional[SolverTelemetry] = None,
+    ) -> None:
+        self.config = config
+        self.lanes = BatchedBestResponseIterator([config], telemetry=telemetry)
+        self.grid = self.lanes.lane_grids[0]
+        self.telemetry = self.lanes.telemetry
+        self.hjb = self.lanes.hjb
+        self.fpk = self.lanes.fpk
+        self.estimator = self.lanes.estimators[0]
+
+    def initial_policy(self, level: float = 0.5) -> np.ndarray:
+        """The bootstrap policy table ``x^0`` (constant caching rate)."""
+        if not 0.0 <= level <= 1.0:
+            raise ValueError(f"policy level must lie in [0, 1], got {level}")
+        return np.full(self.grid.path_shape, float(level))
+
+    def solve(
+        self,
+        density0: Optional[np.ndarray] = None,
+        initial_policy_level: float = 0.5,
+        initial_policy: Optional[np.ndarray] = None,
+    ) -> EquilibriumResult:
+        """Run the fixed-point loop to an MFG equilibrium.
+
+        Parameters
+        ----------
+        density0:
+            Initial population density ``lambda(0)``; defaults to the
+            configured truncated normal.
+        initial_policy_level:
+            The constant bootstrap policy ``x^0``.
+        initial_policy:
+            Optional full bootstrap policy table (overrides the
+            constant level) — warm-starting from a neighbouring
+            parameter point's equilibrium cuts the iteration count in
+            sweeps.
+        """
+        return self.lanes.solve(
+            initial_policy_level,
+            density0=_one_lane(density0),
+            initial_policy=_one_lane(initial_policy),
+        )[0]
+
+
+def _one_lane(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """``array`` with a leading lane axis of length one (``None`` passes)."""
+    return None if array is None else np.asarray(array, dtype=float)[None]

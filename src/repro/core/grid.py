@@ -9,6 +9,7 @@ axes, spacings, meshes, and quadrature weights every solver shares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -291,6 +292,12 @@ class BatchGrid:
         """The scalar :class:`StateGrid` of one content lane."""
         return StateGrid(t=self.t, h=self.h, q=self.q[index])
 
+    def indices(self, lanes: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Lane indices as an int array: ``lanes``, or every lane."""
+        if lanes is None:
+            return np.arange(self.n_lanes)
+        return np.asarray(lanes, int)
+
     def select(self, lanes: Sequence[int]) -> "BatchGrid":
         """A sub-batch restricted to the given lane indices."""
         return BatchGrid(t=self.t, h=self.h, q=self.q[np.asarray(lanes)])
@@ -362,6 +369,11 @@ class BatchGrid:
         wq[:, -1] = 0.5 * dq
         return wh[None, :, None] * wq[:, None, :]
 
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        # Built once per grid: the FPK sweep renormalises every substep.
+        return self.cell_weights()
+
     def integrate(self, fields: np.ndarray) -> np.ndarray:
         """Per-lane ``\\int\\int field dh dq``, shape ``(B,)``."""
         fields = np.asarray(fields, dtype=float)
@@ -369,7 +381,7 @@ class BatchGrid:
             raise ValueError(
                 f"fields shape {fields.shape} does not match batch {self.shape}"
             )
-        return (fields * self.cell_weights()).sum(axis=(1, 2))
+        return (fields * self._weights).sum(axis=(1, 2))
 
     def normalize(
         self,

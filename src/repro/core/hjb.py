@@ -30,12 +30,15 @@ Eq. (21) formula restricted to the branch).  The node takes the larger
 branch value and its argmax as the policy.  The uncontrolled ``h``
 advection uses plain sign-upwinding; diffusion is central; time
 stepping is explicit Euler with CFL sub-division.
+
+The sweep carries a leading content-lane axis
+(:class:`BatchedHJBSolver`); :class:`HJBSolver` is its one-lane view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,12 +50,11 @@ from repro.core.operators import (
     batched_second_derivative,
     batched_upwind_gradient,
     central_gradient,
-    second_derivative,
     stable_time_step,
-    upwind_gradient,
 )
 from repro.core.parameters import MFGCPConfig
-from repro.core.policy import CachingPolicy, optimal_control
+from repro.core.policy import CachingPolicy
+from repro.economics.utility import MarketContext
 
 
 @dataclass(frozen=True)
@@ -82,215 +84,6 @@ class HJBSolution:
         """``V(0, h, q)`` — the accumulated optimal utility from state."""
         ih, iq = self.grid.locate(h, q)
         return float(self.value[0, ih, iq])
-
-
-class HJBSolver:
-    """Monotone (Godunov) finite-difference solver for Eq. (20)."""
-
-    def __init__(self, config: MFGCPConfig, grid: StateGrid) -> None:
-        self.config = config
-        self.grid = grid
-        self._utility = config.utility_model()
-        # Fading drift b_h = (1/2) varsigma_h (upsilon_h - h): constant
-        # over time, broadcast over the spatial shape.
-        ch = config.channel
-        self._drift_h = 0.5 * ch.reversion * (ch.mean - grid.h)[:, None]
-        self._rate_of_h = np.asarray(
-            ch.rate_of_fading(grid.h), dtype=float
-        )[:, None]
-        if np.any(self._rate_of_h <= 0):
-            raise ValueError(
-                "wireless rate non-positive on the grid; widen h bounds or "
-                "adjust the radio parameters"
-            )
-        self._diff_h = 0.5 * ch.volatility**2
-        self._diff_q = 0.5 * config.caching.noise**2
-
-        drift = config.caching_drift()
-        # Control-free drift multiplier c and its balance point x_c at
-        # which the q drift changes sign.
-        self._drift_const = float(
-            drift.rate(0.0, config.popularity, config.timeliness)
-        )
-        self._w1 = drift.w1
-        if self._w1 > 0:
-            self._x_balance = float(np.clip(self._drift_const / self._w1, 0.0, 1.0))
-        else:
-            self._x_balance = 1.0 if self._drift_const >= 0 else 0.0
-        # Control-coupled utility: U(x) = U(0) - a x - w5 x^2.
-        self._a_lin, self._w5 = self._utility.control_gradient_constants()
-
-    # ------------------------------------------------------------------
-    # Sub-stepping
-    # ------------------------------------------------------------------
-    def stable_step(self) -> float:
-        """The CFL-stable explicit time step for this configuration."""
-        cfg = self.config
-        max_bh = float(np.max(np.abs(self._drift_h)))
-        drift0 = float(np.abs(cfg.drift_rate(np.array(0.0))))
-        drift1 = float(np.abs(cfg.drift_rate(np.array(1.0))))
-        max_bq = max(drift0, drift1)
-        return stable_time_step(
-            max_bh, max_bq, self.grid.dh, self.grid.dq, self._diff_h, self._diff_q
-        )
-
-    def substeps_per_interval(self) -> int:
-        """Number of CFL substeps per reporting interval."""
-        return max(1, int(np.ceil(self.grid.dt / self.stable_step())))
-
-    # ------------------------------------------------------------------
-    # Godunov Hamiltonian in q
-    # ------------------------------------------------------------------
-    def _one_sided_gradients_q(self, value: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Backward and forward differences in ``q`` with Neumann ghosts."""
-        dq = self.grid.dq
-        backward = np.zeros_like(value)
-        forward = np.zeros_like(value)
-        backward[:, 1:] = (value[:, 1:] - value[:, :-1]) / dq
-        forward[:, :-1] = (value[:, 1:] - value[:, :-1]) / dq
-        # Reflecting state boundaries => zero normal derivative ghosts.
-        return backward, forward
-
-    def _branch_maximum(
-        self, grad: np.ndarray, x_lo: float, x_hi: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Maximise the control part of the Hamiltonian on one branch.
-
-        ``g(x) = b_q(x) grad - a x - w5 x^2`` with
-        ``b_q(x) = Q (c - w1 x)``, maximised over ``x in [x_lo, x_hi]``.
-        Returns the branch value and its argmax (arrays over the grid).
-        """
-        cfg = self.config
-        q_size = cfg.content_size
-        x_star = optimal_control(
-            grad, q_size, self._w1, cfg.w4, cfg.w5, cfg.eta2, cfg.backhaul_rate
-        )
-        x = np.clip(x_star, x_lo, x_hi)
-        value = q_size * (self._drift_const - self._w1 * x) * grad - self._a_lin * x - self._w5 * x**2
-        return value, x
-
-    def _godunov_q(self, value: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Monotone upwinded ``max_x [ b_q(x) d_qV - a x - w5 x^2 ]``.
-
-        Returns the Hamiltonian contribution and the maximising control.
-        """
-        backward, forward = self._one_sided_gradients_q(value)
-        # Upwinding for the BACKWARD-in-time equation follows the
-        # forward characteristics: V(t, q) ~ V(t+dt, q + b dt), so
-        # positive drift reads from larger q (forward difference).
-        # Branch A: drift >= 0 (x below the balance point) -> D+ V.
-        val_a, x_a = self._branch_maximum(forward, 0.0, self._x_balance)
-        # Branch B: drift <= 0 (x above the balance point) -> D- V.
-        val_b, x_b = self._branch_maximum(backward, self._x_balance, 1.0)
-        take_a = val_a >= val_b
-        return np.where(take_a, val_a, val_b), np.where(take_a, x_a, x_b)
-
-    def _step_rhs(self, value: np.ndarray, ctx) -> Tuple[np.ndarray, np.ndarray]:
-        """The bracketed operator of Eq. (20) and the maximising control."""
-        grid = self.grid
-        ham_q, control = self._godunov_q(value)
-        # Negated velocity flips the upwind side: the backward-time
-        # equation reads along forward characteristics (see _godunov_q).
-        adv_h = self._drift_h * upwind_gradient(value, grid.dh, -self._drift_h, axis=0)
-        diff = self._diff_h * second_derivative(
-            value, grid.dh, axis=0
-        ) + self._diff_q * second_derivative(value, grid.dq, axis=1)
-        # Control-free running utility U(x=0); the control-coupled part
-        # (-a x - w5 x^2) already lives inside the Godunov term.
-        utility0 = self._utility.total(0.0, grid.q_mesh(), self._rate_of_h, ctx)
-        return adv_h + ham_q + diff + utility0, control
-
-    def control_from_value(self, value: np.ndarray) -> np.ndarray:
-        """The Godunov-consistent policy for a value sheet."""
-        return self._godunov_q(value)[1]
-
-    def residual_norm(
-        self,
-        value_path: np.ndarray,
-        mean_field: MeanFieldPath,
-        max_samples: int = 8,
-    ) -> float:
-        """Scale-free discrete residual of a settled value path.
-
-        Measures ``max_t || (V[t] - V[t+1]) / dt - L(V[t+1]; m(t)) ||_inf
-        / (1 + ||L||_inf)`` at up to ``max_samples`` evenly-spaced
-        reporting intervals, where ``L`` is the bracketed Eq. (20)
-        operator.  A healthy sweep leaves O(dt) residual (substepping +
-        the nonlinearity of the Godunov Hamiltonian); NaN/Inf or an
-        exploding value means the backward sweep diverged.  This is a
-        diagnostic for the numerical-health probes, not a convergence
-        criterion — it reuses the solver's own discretisation so the
-        number is comparable across runs of the same grid.
-        """
-        grid = self.grid
-        value_path = np.asarray(value_path, dtype=float)
-        if value_path.shape != grid.path_shape:
-            raise ValueError(
-                f"value path shape {value_path.shape} != grid {grid.path_shape}"
-            )
-        n_int = grid.n_t
-        n_samples = max(1, min(int(max_samples), n_int))
-        indices = np.unique(
-            np.linspace(0, n_int - 1, n_samples).round().astype(int)
-        )
-        worst = 0.0
-        for ti in indices:
-            ctx = mean_field.context(int(ti))
-            rhs, _ = self._step_rhs(value_path[ti + 1], ctx)
-            residual = (value_path[ti] - value_path[ti + 1]) / grid.dt - rhs
-            scale = 1.0 + float(np.max(np.abs(rhs)))
-            worst = max(worst, float(np.max(np.abs(residual))) / scale)
-            if not np.isfinite(worst):
-                return float("nan")
-        return worst
-
-    def solve(
-        self,
-        mean_field: MeanFieldPath,
-        terminal_value: Optional[np.ndarray] = None,
-    ) -> HJBSolution:
-        """Backward sweep from ``V(T)`` to ``V(0)`` against a mean field.
-
-        Parameters
-        ----------
-        mean_field:
-            The estimator's market paths (price, peer state, sharing
-            benefit per reporting time).
-        terminal_value:
-            ``V(T, h, q)``; defaults to zero (no salvage value).
-        """
-        grid = self.grid
-        value_path = np.empty(grid.path_shape)
-        policy_path = np.empty(grid.path_shape)
-
-        if terminal_value is None:
-            value = np.zeros(grid.shape)
-        else:
-            value = np.asarray(terminal_value, dtype=float).copy()
-            if value.shape != grid.shape:
-                raise ValueError(
-                    f"terminal value shape {value.shape} != grid {grid.shape}"
-                )
-        value_path[grid.n_t] = value
-        policy_path[grid.n_t] = self.control_from_value(value)
-
-        n_sub = self.substeps_per_interval()
-        dt_sub = grid.dt / n_sub
-        for ti in range(grid.n_t - 1, -1, -1):
-            ctx = mean_field.context(ti)
-            for _ in range(n_sub):
-                rhs, _control = self._step_rhs(value, ctx)
-                value = value + dt_sub * rhs
-            value_path[ti] = value
-            # Re-extract the control from the settled value sheet so the
-            # stored policy is exactly Godunov-consistent with it.
-            policy_path[ti] = self.control_from_value(value)
-
-        return HJBSolution(
-            grid=grid,
-            value=value_path,
-            policy=CachingPolicy(grid=grid, table=policy_path),
-        )
 
 
 def validate_shared_lane_params(configs: Sequence[MFGCPConfig]) -> None:
@@ -328,9 +121,9 @@ def _batched_control_free_utility(
     Replicates :meth:`repro.economics.utility.UtilityModel.total`
     term by term and in the same float operation order, with every
     per-lane scalar lifted to a ``(B, 1, 1)`` column — lane ``b`` is
-    bit-identical to the scalar evaluation (the equivalence tests
-    assert it).  The control-coupled terms (``-a x - w5 x^2``) vanish
-    at ``x = 0``, matching the scalar HJB solver's ``utility0``.
+    bit-identical to ``UtilityModel.total(0.0, ...)`` of that lane
+    (the reference tests assert it).  The control-coupled terms
+    (``-a x - w5 x^2``) vanish at ``x = 0``.
     """
     two_l = 2.0 * params.cases.smoothing
     thr = params.cases.alpha * size_col
@@ -364,16 +157,66 @@ def _batched_control_free_utility(
     return income - stale
 
 
-class BatchedHJBSolver:
-    """One vectorized backward sweep over a batch of content lanes.
 
-    Wraps one scalar :class:`HJBSolver` per lane (so every per-lane
-    constant — drift balance point, linear utility coefficient, CFL
-    substep count — is *by construction* the scalar solver's value) and
-    advances all lanes together through the batched stencil operators.
-    Lanes with fewer CFL substeps than the batch maximum freeze once
-    their own substeps are done, so each lane reproduces its scalar
-    update sequence exactly.
+
+def lane_cfl_steps(
+    configs: Sequence[MFGCPConfig], grid: BatchGrid
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-lane CFL-stable explicit step and substeps per reporting interval.
+
+    Both sweeps share the limit: the fading drift, the larger Eq. (4)
+    drift magnitude of ``x = 0`` and ``x = 1``, and the two diffusions,
+    each against the lane's own cache spacing.  Returns the stable
+    steps, shape ``(B,)``, and the integer substep counts
+    ``max(1, ceil(dt / step))``.
+    """
+    ch = configs[0].channel
+    max_bh = float(np.max(np.abs(0.5 * ch.reversion * (ch.mean - grid.h))))
+    diff_h = 0.5 * ch.volatility**2
+    diff_q = 0.5 * configs[0].caching.noise**2
+    steps = []
+    for cfg, dq in zip(configs, grid.dq):
+        drift0 = float(np.abs(cfg.drift_rate(np.array(0.0))))
+        drift1 = float(np.abs(cfg.drift_rate(np.array(1.0))))
+        steps.append(
+            stable_time_step(
+                max_bh, max(drift0, drift1), grid.dh, float(dq), diff_h, diff_q
+            )
+        )
+    substeps = [max(1, int(np.ceil(grid.dt / step))) for step in steps]
+    return np.array(steps), np.array(substeps, dtype=int)
+
+
+def _balance_point(drift_const: float, w1: float) -> float:
+    """The control ``x_c`` at which the ``q`` drift changes sign."""
+    if w1 > 0:
+        return float(np.clip(drift_const / w1, 0.0, 1.0))
+    return 1.0 if drift_const >= 0 else 0.0
+
+
+class _LaneColumns(NamedTuple):
+    """Per-lane constants of a lane subset as ``(b, 1, 1)`` columns."""
+
+    size: np.ndarray
+    drift_const: np.ndarray
+    a_lin: np.ndarray
+    x_balance: np.ndarray
+    dq: np.ndarray
+
+
+class BatchedHJBSolver:
+    """The backward Godunov sweep of Eq. (20) over a batch of content lanes.
+
+    This is the one HJB implementation; a single content is the batch
+    of one lane (:class:`HJBSolver`).  Lanes share the channel, caching
+    and economic parameters (:func:`validate_shared_lane_params`) and
+    differ in their demand fields, so the per-lane constants — drift
+    constant ``c`` and balance point ``x_c``, linear utility coefficient
+    ``a``, CFL step and substep count — are computed here per config.
+    Every stencil is elementwise along the lane axis, and lanes with
+    fewer CFL substeps than the batch maximum freeze once their own
+    substeps are done, so a lane's result does not depend on the batch
+    it rides in.
     """
 
     def __init__(self, configs: Sequence[MFGCPConfig], grid: BatchGrid) -> None:
@@ -384,117 +227,162 @@ class BatchedHJBSolver:
                 f"{len(self.configs)} configs for {grid.n_lanes} grid lanes"
             )
         validate_shared_lane_params(self.configs)
-        self.lane_solvers = [
-            HJBSolver(cfg, grid.lane(b)) for b, cfg in enumerate(self.configs)
-        ]
-        first = self.lane_solvers[0]
-        # Shared (channel-derived) pieces, identical across lanes.
-        self._drift_h = first._drift_h  # (n_h, 1), broadcasts over lanes
-        self._rate_of_h = first._rate_of_h
-        self._diff_h = first._diff_h
-        self._diff_q = first._diff_q
-        self._w1 = first._w1
-        self._w5 = first._w5
-        self._params = first._utility.params
         cfg0 = self.configs[0]
+        ch = cfg0.channel
+        # Shared (channel-derived) pieces.  The fading drift
+        # b_h = (1/2) varsigma_h (upsilon_h - h) is constant over time;
+        # as an (n_h, 1) column it broadcasts over lanes and q.
+        self._drift_h = 0.5 * ch.reversion * (ch.mean - grid.h)[:, None]
+        self._rate_of_h = np.asarray(
+            ch.rate_of_fading(grid.h), dtype=float
+        )[:, None]
+        if np.any(self._rate_of_h <= 0):
+            raise ValueError(
+                "wireless rate non-positive on the grid; widen h bounds or "
+                "adjust the radio parameters"
+            )
+        self._diff_h = 0.5 * ch.volatility**2
+        self._diff_q = 0.5 * cfg0.caching.noise**2
+        drift = cfg0.caching_drift()
+        self._w1 = drift.w1
+        self._params = cfg0.economic_parameters()
         self._w4 = cfg0.w4
+        self._w5 = self._params.w5
         self._eta2 = cfg0.eta2
         self._backhaul = cfg0.backhaul_rate
-        # Per-lane constants, stacked from the scalar solvers.
-        self._drift_const = np.array(
-            [s._drift_const for s in self.lane_solvers]
+        # Per-lane constants: the control-free drift multiplier c of
+        # b_q(x) = Q (c - w1 x), its balance point, and the linear
+        # coefficient a of the control-coupled utility
+        # U(x) = U(0) - a x - w5 x^2.
+        drift_const = [
+            float(drift.rate(0.0, cfg.popularity, cfg.timeliness))
+            for cfg in self.configs
+        ]
+        self._drift_const = np.array(drift_const)
+        self._x_balance = np.array(
+            [_balance_point(c, self._w1) for c in drift_const]
         )
-        self._x_balance = np.array([s._x_balance for s in self.lane_solvers])
-        self._a_lin = np.array([s._a_lin for s in self.lane_solvers])
+        self._a_lin = np.array(
+            [
+                cfg.utility_model().control_gradient_constants()[0]
+                for cfg in self.configs
+            ]
+        )
         self._q_size = np.array([cfg.content_size for cfg in self.configs])
-        self._n_sub = np.array(
-            [s.substeps_per_interval() for s in self.lane_solvers], dtype=int
+        self.stable_steps, self.substeps = lane_cfl_steps(self.configs, grid)
+
+    def _columns(self, lanes: np.ndarray) -> _LaneColumns:
+        return _LaneColumns(
+            size=self._q_size[lanes][:, None, None],
+            drift_const=self._drift_const[lanes][:, None, None],
+            a_lin=self._a_lin[lanes][:, None, None],
+            x_balance=self._x_balance[lanes][:, None, None],
+            dq=self.grid.dq[lanes][:, None, None],
         )
 
     # ------------------------------------------------------------------
-    # Batched Godunov Hamiltonian
+    # Godunov Hamiltonian in q
     # ------------------------------------------------------------------
     def _one_sided_gradients_q(
         self, value: np.ndarray, dq_col: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Backward and forward differences in ``q`` with Neumann ghosts."""
         backward = np.zeros_like(value)
         forward = np.zeros_like(value)
         diff = (value[:, :, 1:] - value[:, :, :-1]) / dq_col
         backward[:, :, 1:] = diff
         forward[:, :, :-1] = diff
+        # Reflecting state boundaries => zero normal derivative ghosts.
         return backward, forward
 
-    def _branch_maximum(self, grad, x_lo, x_hi, size_col, const_col, a_col):
-        # Inlined Eq. (21) (optimal_control validates scalar sizes);
-        # identical float operation order with per-lane columns.
+    def _branch_maximum(self, grad, x_lo, x_hi, cols: _LaneColumns):
+        """Maximise the control part of the Hamiltonian on one branch.
+
+        ``g(x) = b_q(x) grad - a x - w5 x^2`` with
+        ``b_q(x) = Q (c - w1 x)``, maximised over ``x in [x_lo, x_hi]``
+        by the Eq. (21) closed form clipped to the branch.  Returns the
+        branch value and its argmax.
+        """
         raw = -(
             self._w4 / (2.0 * self._w5)
-            + self._eta2 * size_col / (2.0 * self._backhaul * self._w5)
-            + size_col * self._w1 * grad / (2.0 * self._w5)
+            + self._eta2 * cols.size / (2.0 * self._backhaul * self._w5)
+            + cols.size * self._w1 * grad / (2.0 * self._w5)
         )
         x = np.clip(np.clip(raw, 0.0, 1.0), x_lo, x_hi)
         value = (
-            size_col * (const_col - self._w1 * x) * grad
-            - a_col * x
+            cols.size * (cols.drift_const - self._w1 * x) * grad
+            - cols.a_lin * x
             - self._w5 * x**2
         )
         return value, x
 
-    def _godunov_q(self, value, lanes, dq_col):
-        size_col = self._q_size[lanes][:, None, None]
-        const_col = self._drift_const[lanes][:, None, None]
-        a_col = self._a_lin[lanes][:, None, None]
-        xbal_col = self._x_balance[lanes][:, None, None]
-        backward, forward = self._one_sided_gradients_q(value, dq_col)
-        val_a, x_a = self._branch_maximum(
-            forward, 0.0, xbal_col, size_col, const_col, a_col
-        )
-        val_b, x_b = self._branch_maximum(
-            backward, xbal_col, 1.0, size_col, const_col, a_col
-        )
+    def _godunov_q(self, value, cols: _LaneColumns):
+        """Monotone upwinded ``max_x [ b_q(x) d_qV - a x - w5 x^2 ]``.
+
+        Returns the Hamiltonian contribution and the maximising control.
+        """
+        backward, forward = self._one_sided_gradients_q(value, cols.dq)
+        # Upwinding for the BACKWARD-in-time equation follows the
+        # forward characteristics: V(t, q) ~ V(t+dt, q + b dt), so
+        # positive drift reads from larger q (forward difference).
+        # Branch A: drift >= 0 (x below the balance point) -> D+ V.
+        val_a, x_a = self._branch_maximum(forward, 0.0, cols.x_balance, cols)
+        # Branch B: drift <= 0 (x above the balance point) -> D- V.
+        val_b, x_b = self._branch_maximum(backward, cols.x_balance, 1.0, cols)
         take_a = val_a >= val_b
         return np.where(take_a, val_a, val_b), np.where(take_a, x_a, x_b)
 
-    def _step_rhs(self, value, utility0, lanes, dq_col):
+    def _step_rhs(self, value, utility0, cols: _LaneColumns):
+        """The bracketed operator of Eq. (20) and the maximising control."""
         grid = self.grid
-        ham_q, control = self._godunov_q(value, lanes, dq_col)
+        ham_q, control = self._godunov_q(value, cols)
+        # Negated velocity flips the upwind side: the backward-time
+        # equation reads along forward characteristics (see _godunov_q).
         adv_h = self._drift_h * batched_upwind_gradient(
             value, grid.dh, -self._drift_h, axis=0
         )
         diff = self._diff_h * batched_second_derivative(
             value, grid.dh, axis=0
-        ) + self._diff_q * batched_second_derivative(value, dq_col, axis=1)
+        ) + self._diff_q * batched_second_derivative(value, cols.dq, axis=1)
         return adv_h + ham_q + diff + utility0, control
 
-    def control_from_value(self, value, lanes, dq_col) -> np.ndarray:
-        """The Godunov-consistent policy sheets for a batch of values."""
-        return self._godunov_q(value, lanes, dq_col)[1]
+    def _utility0(self, markets, cols: _LaneColumns, q_mesh) -> np.ndarray:
+        """Control-free running utility ``U(x = 0)`` of each lane.
 
-    def _utility0(self, mean_fields, lanes, ti, q_mesh) -> np.ndarray:
-        """Control-free running utility for one reporting interval.
-
-        The scalar solver recomputes this inside every CFL substep, but
-        it depends only on the interval's market context — hoisting it
-        here is value-identical and saves ``n_sub - 1`` evaluations.
+        ``markets`` holds one row per lane: request rate, price, peer
+        state and sharing benefit.  The control-coupled part (``-a x - w5 x^2``) already lives inside
+        the Godunov term.
         """
-
-        def col(values):
-            return np.array(values)[:, None, None]
-
-        n_col = col([float(mf.n_requests[ti]) for mf in mean_fields])
-        price_col = col([float(mf.price[ti]) for mf in mean_fields])
-        q_other_col = col([float(mf.mean_q[ti]) for mf in mean_fields])
-        benefit_col = col([float(mf.sharing_benefit[ti]) for mf in mean_fields])
         return _batched_control_free_utility(
             self._params,
-            self._q_size[lanes][:, None, None],
+            cols.size,
             q_mesh,
             self._rate_of_h,
-            n_col,
-            price_col,
-            q_other_col,
-            benefit_col,
+            markets[:, 0, None, None],
+            markets[:, 1, None, None],
+            markets[:, 2, None, None],
+            markets[:, 3, None, None],
         )
+
+    def step_rhs(
+        self, values: np.ndarray, contexts: Sequence[MarketContext]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Eq. (20)'s bracketed operator and its maximising control.
+
+        ``values`` holds one value sheet per lane, shape
+        ``(B, n_h, n_q)``, and ``contexts`` the market each lane faces.
+        """
+        markets = np.array(
+            [[c.n_requests, c.price, c.q_other, c.sharing_benefit] for c in contexts]
+        )
+        cols = self._columns(self.grid.indices())
+        utility0 = self._utility0(markets, cols, self.grid.q_mesh())
+        return self._step_rhs(np.asarray(values, dtype=float), utility0, cols)
+
+    def control_from_value(self, values: np.ndarray) -> np.ndarray:
+        """The Godunov-consistent policy sheets of every lane's value sheet."""
+        cols = self._columns(self.grid.indices())
+        return self._godunov_q(np.asarray(values, dtype=float), cols)[1]
 
     def solve(
         self,
@@ -502,20 +390,21 @@ class BatchedHJBSolver:
         lanes: Optional[np.ndarray] = None,
         terminal_value: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Backward sweep advancing every requested lane simultaneously.
+        """Backward sweep from ``V(T)`` to ``V(0)``, all requested lanes at once.
 
         Parameters
         ----------
         mean_fields:
             One :class:`MeanFieldPath` per requested lane, in lane
-            order.
+            order: the market paths (price, peer state, sharing benefit
+            per reporting time) that lane faces.
         lanes:
             Lane indices into the batch (default: all lanes).  Passing
             the active subset is how the best-response iterator drops
             converged contents out of the batch.
         terminal_value:
             ``V(T)`` per lane, shape ``(b, n_h, n_q)``; defaults to
-            zero.
+            zero (no salvage value).
 
         Returns
         -------
@@ -523,9 +412,7 @@ class BatchedHJBSolver:
             Arrays of shape ``(b, n_t + 1, n_h, n_q)``.
         """
         grid = self.grid
-        lanes = (
-            np.arange(grid.n_lanes) if lanes is None else np.asarray(lanes, int)
-        )
+        lanes = grid.indices(lanes)
         if len(mean_fields) != lanes.size:
             raise ValueError(
                 f"{len(mean_fields)} mean fields for {lanes.size} lanes"
@@ -541,32 +428,135 @@ class BatchedHJBSolver:
                     f"terminal value shape {value.shape} != batch {shape}"
                 )
 
-        dq_col = grid.dq[lanes][:, None, None]
+        # (b, 4, n_t + 1): the market rows of every reporting time.
+        markets = np.array(
+            [
+                [mf.n_requests, mf.price, mf.mean_q, mf.sharing_benefit]
+                for mf in mean_fields
+            ]
+        )
+        cols = self._columns(lanes)
         q_mesh = grid.q_mesh()[lanes]
         value_path = np.empty((b, grid.n_t + 1, grid.n_h, grid.n_q))
         policy_path = np.empty_like(value_path)
         value_path[:, grid.n_t] = value
-        policy_path[:, grid.n_t] = self.control_from_value(value, lanes, dq_col)
+        policy_path[:, grid.n_t] = self._godunov_q(value, cols)[1]
 
-        n_sub = self._n_sub[lanes]
+        n_sub = self.substeps[lanes]
         max_sub = int(n_sub.max())
-        dt_sub = grid.dt / n_sub  # per-lane substep, (b,)
-        dt_col = dt_sub[:, None, None]
+        dt_col = (grid.dt / n_sub)[:, None, None]  # per-lane substep
         uniform = bool(np.all(n_sub == n_sub[0]))
         for ti in range(grid.n_t - 1, -1, -1):
-            utility0 = self._utility0(mean_fields, lanes, ti, q_mesh)
+            # U(x = 0) depends only on the interval's market, so it is
+            # evaluated once per interval, not once per substep.
+            utility0 = self._utility0(markets[:, :, ti], cols, q_mesh)
             for s in range(max_sub):
                 if uniform:
-                    rhs, _ = self._step_rhs(value, utility0, lanes, dq_col)
+                    rhs, _ = self._step_rhs(value, utility0, cols)
                     value = value + dt_col * rhs
                 else:
                     # Lanes whose own substep count is exhausted freeze;
                     # the stepping subset advances with its own dt.
                     idx = np.flatnonzero(s < n_sub)
                     rhs, _ = self._step_rhs(
-                        value[idx], utility0[idx], lanes[idx], dq_col[idx]
+                        value[idx], utility0[idx], self._columns(lanes[idx])
                     )
                     value[idx] = value[idx] + dt_col[idx] * rhs
             value_path[:, ti] = value
-            policy_path[:, ti] = self.control_from_value(value, lanes, dq_col)
+            # Re-extract the control from the settled value sheet so the
+            # stored policy is exactly Godunov-consistent with it.
+            policy_path[:, ti] = self._godunov_q(value, cols)[1]
         return value_path, policy_path
+
+
+class HJBSolver:
+    """The backward HJB sweep of one content: a one-lane batch.
+
+    A view of :class:`BatchedHJBSolver` over ``[config]``: each method
+    adds the lane axis, runs the batched code and drops the axis again,
+    so a single-content solve is exactly the B=1 case of the batched
+    sweep.  ``batch`` is the underlying one-lane solver.
+    """
+
+    def __init__(self, config: MFGCPConfig, grid: StateGrid) -> None:
+        self.config = config
+        self.grid = grid
+        self.batch = BatchedHJBSolver([config], BatchGrid.from_grids([grid]))
+
+    def stable_step(self) -> float:
+        """The CFL-stable explicit time step for this configuration."""
+        return float(self.batch.stable_steps[0])
+
+    def substeps_per_interval(self) -> int:
+        """Number of CFL substeps per reporting interval."""
+        return int(self.batch.substeps[0])
+
+    def control_from_value(self, value: np.ndarray) -> np.ndarray:
+        """The Godunov-consistent policy for a value sheet."""
+        return self.batch.control_from_value(np.asarray(value, dtype=float)[None])[0]
+
+    def residual_norm(
+        self,
+        value_path: np.ndarray,
+        mean_field: MeanFieldPath,
+        max_samples: int = 8,
+    ) -> float:
+        """Scale-free discrete residual of a settled value path.
+
+        Measures ``max_t || (V[t] - V[t+1]) / dt - L(V[t+1]; m(t)) ||_inf
+        / (1 + ||L||_inf)`` at up to ``max_samples`` evenly-spaced
+        reporting intervals, where ``L`` is the bracketed Eq. (20)
+        operator.  A healthy sweep leaves O(dt) residual (substepping +
+        the nonlinearity of the Godunov Hamiltonian); NaN/Inf or an
+        exploding value means the backward sweep diverged.  This is a
+        diagnostic for the numerical-health probes, not a convergence
+        criterion — it reuses the solver's own discretisation so the
+        number is comparable across runs of the same grid.
+        """
+        grid = self.grid
+        value_path = np.asarray(value_path, dtype=float)
+        if value_path.shape != grid.path_shape:
+            raise ValueError(
+                f"value path shape {value_path.shape} != grid {grid.path_shape}"
+            )
+        n_int = grid.n_t
+        n_samples = max(1, min(int(max_samples), n_int))
+        indices = np.unique(
+            np.linspace(0, n_int - 1, n_samples).round().astype(int)
+        )
+        worst = 0.0
+        for ti in indices:
+            ctx = mean_field.context(int(ti))
+            rhs = self.batch.step_rhs(value_path[ti + 1][None], [ctx])[0][0]
+            residual = (value_path[ti] - value_path[ti + 1]) / grid.dt - rhs
+            scale = 1.0 + float(np.max(np.abs(rhs)))
+            worst = max(worst, float(np.max(np.abs(residual))) / scale)
+            if not np.isfinite(worst):
+                return float("nan")
+        return worst
+
+    def solve(
+        self,
+        mean_field: MeanFieldPath,
+        terminal_value: Optional[np.ndarray] = None,
+    ) -> HJBSolution:
+        """Backward sweep from ``V(T)`` to ``V(0)`` against a mean field.
+
+        Parameters
+        ----------
+        mean_field:
+            The estimator's market paths (price, peer state, sharing
+            benefit per reporting time).
+        terminal_value:
+            ``V(T, h, q)``; defaults to zero (no salvage value).
+        """
+        if terminal_value is not None:
+            terminal_value = np.asarray(terminal_value, dtype=float)[None]
+        values, policies = self.batch.solve(
+            [mean_field], terminal_value=terminal_value
+        )
+        return HJBSolution(
+            grid=self.grid,
+            value=values[0],
+            policy=CachingPolicy(grid=self.grid, table=policies[0]),
+        )

@@ -14,19 +14,17 @@ solve the coupled HJB and FPK equations."  Two flavours are needed:
   keeps total probability mass exactly conserved, which the property
   tests assert.
 
-All operators act on 2-D fields shaped ``(n_h, n_q)``; ``axis=0`` is
-the fading dimension and ``axis=1`` the cache dimension.
-
-**Batched variants.**  The ``batched_*`` functions apply the same
-stencils to a stack of fields shaped ``(B, n_h, n_q)`` — one lane per
-content — in a single numpy call.  ``axis`` still names the *spatial*
+The solver stencils (``batched_*``) act on a stack of fields shaped
+``(B, n_h, n_q)`` — one lane per content, a single content being the
+batch of one — in a single numpy call.  ``axis`` names the *spatial*
 axis (0 = fading, 1 = cache); the leading batch axis is never mixed.
 ``spacing`` may be a scalar (shared grid step) or a per-lane array of
 shape ``(B,)`` / ``(B, 1, 1)`` (each content's cache axis spans its own
-``[0, Q_k]``).  Every batched stencil is elementwise along the batch
-axis, so lane ``b`` of the output is bit-identical to running the 2-D
-operator on lane ``b`` alone — the equivalence tests assert exactly
-that.
+``[0, Q_k]``).  Every stencil is elementwise along the batch axis, so
+lane ``b`` of the output does not depend on the other lanes.
+
+:func:`central_gradient` acts on one 2-D ``(n_h, n_q)`` field; the
+reporting helpers use it to read ``d_q V`` off a solved value sheet.
 """
 
 from __future__ import annotations
@@ -57,6 +55,10 @@ def _batched_spacing(spacing, n_lanes: int):
     ``(B, 1, 1)`` are reshaped to ``(B, 1, 1)`` so they broadcast
     against ``(B, n_h, n_q)`` fields.
     """
+    if isinstance(spacing, float):  # the sweeps' shared-step fast path
+        if spacing <= 0:
+            raise ValueError(f"spacing must be positive, got {spacing}")
+        return spacing
     arr = np.asarray(spacing, dtype=float)
     if arr.ndim == 0:
         if arr <= 0:
@@ -67,7 +69,7 @@ def _batched_spacing(spacing, n_lanes: int):
             f"per-lane spacing needs {n_lanes} entries, got shape {arr.shape}"
         )
     arr = arr.reshape(n_lanes, 1, 1)
-    if np.any(arr <= 0):
+    if (arr <= 0).any():
         raise ValueError("per-lane spacings must all be positive")
     return arr
 
@@ -79,36 +81,6 @@ def _to_last_axis(field: np.ndarray, axis: int) -> np.ndarray:
     if axis == 1:
         return field
     raise ValueError(f"axis must be 0 or 1, got {axis}")
-
-
-def upwind_gradient(field: np.ndarray, spacing: float, velocity: np.ndarray, axis: int) -> np.ndarray:
-    """First derivative with upwinding chosen by the drift sign.
-
-    For positive velocity information flows from lower indices, so the
-    backward difference is used; for negative velocity the forward
-    difference.  Boundary rows fall back to the available one-sided
-    difference.
-    """
-    field = _check_2d("field", field)
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    velocity = np.broadcast_to(np.asarray(velocity, dtype=float), field.shape)
-
-    forward = np.empty_like(field)
-    backward = np.empty_like(field)
-    if axis == 0:
-        forward[:-1, :] = (field[1:, :] - field[:-1, :]) / spacing
-        forward[-1, :] = forward[-2, :]
-        backward[1:, :] = (field[1:, :] - field[:-1, :]) / spacing
-        backward[0, :] = backward[1, :]
-    elif axis == 1:
-        forward[:, :-1] = (field[:, 1:] - field[:, :-1]) / spacing
-        forward[:, -1] = forward[:, -2]
-        backward[:, 1:] = (field[:, 1:] - field[:, :-1]) / spacing
-        backward[:, 0] = backward[:, 1]
-    else:
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-    return np.where(velocity > 0, backward, forward)
 
 
 def central_gradient(field: np.ndarray, spacing: float, axis: int) -> np.ndarray:
@@ -130,84 +102,17 @@ def central_gradient(field: np.ndarray, spacing: float, axis: int) -> np.ndarray
     return grad
 
 
-def second_derivative(field: np.ndarray, spacing: float, axis: int) -> np.ndarray:
-    """Central second derivative with reflected (Neumann) boundaries."""
-    field = _check_2d("field", field)
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    lap = np.empty_like(field)
-    s2 = spacing * spacing
-    if axis == 0:
-        lap[1:-1, :] = (field[2:, :] - 2.0 * field[1:-1, :] + field[:-2, :]) / s2
-        lap[0, :] = 2.0 * (field[1, :] - field[0, :]) / s2
-        lap[-1, :] = 2.0 * (field[-2, :] - field[-1, :]) / s2
-    elif axis == 1:
-        lap[:, 1:-1] = (field[:, 2:] - 2.0 * field[:, 1:-1] + field[:, :-2]) / s2
-        lap[:, 0] = 2.0 * (field[:, 1] - field[:, 0]) / s2
-        lap[:, -1] = 2.0 * (field[:, -2] - field[:, -1]) / s2
-    else:
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-    return lap
-
-
-def conservative_advection(density: np.ndarray, velocity: np.ndarray, spacing: float, axis: int) -> np.ndarray:
-    """``-d(v * rho)/dx`` via donor-cell fluxes with zero-flux boundaries.
-
-    The interface flux between cells ``i`` and ``i+1`` is
-    ``F = v_f^+ rho_i + v_f^- rho_{i+1}`` with ``v_f`` the interface
-    velocity average; the boundary fluxes are forced to zero so the
-    scheme conserves mass exactly (sum over cells of the returned
-    update is zero).
-    """
-    density = _check_2d("density", density)
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    velocity = np.broadcast_to(np.asarray(velocity, dtype=float), density.shape)
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-
-    if axis == 1:
-        density_t = density
-        velocity_t = velocity
-    else:
-        density_t = density.T
-        velocity_t = velocity.T
-
-    # Interface velocities between consecutive cells along the last axis.
-    v_face = 0.5 * (velocity_t[:, :-1] + velocity_t[:, 1:])
-    flux = np.maximum(v_face, 0.0) * density_t[:, :-1] + np.minimum(v_face, 0.0) * density_t[:, 1:]
-    # Zero-flux boundaries: pad with zeros at both ends.
-    flux_full = np.zeros((density_t.shape[0], density_t.shape[1] + 1))
-    flux_full[:, 1:-1] = flux
-    update = -(flux_full[:, 1:] - flux_full[:, :-1]) / spacing
-    return update if axis == 1 else update.T
-
-
-def conservative_diffusion(density: np.ndarray, diffusivity: float, spacing: float, axis: int) -> np.ndarray:
-    """``d/dx ( D d(rho)/dx )`` with zero-flux boundaries (conservative)."""
-    density = _check_2d("density", density)
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    if diffusivity < 0:
-        raise ValueError(f"diffusivity must be non-negative, got {diffusivity}")
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-
-    density_t = density if axis == 1 else density.T
-    grad = (density_t[:, 1:] - density_t[:, :-1]) / spacing
-    flux_full = np.zeros((density_t.shape[0], density_t.shape[1] + 1))
-    flux_full[:, 1:-1] = diffusivity * grad
-    update = (flux_full[:, 1:] - flux_full[:, :-1]) / spacing
-    return update if axis == 1 else update.T
-
-
 def batched_upwind_gradient(
     field: np.ndarray, spacing, velocity: np.ndarray, axis: int
 ) -> np.ndarray:
-    """Batched :func:`upwind_gradient` over ``(B, n_h, n_q)`` lanes.
+    """First derivative over ``(B, n_h, n_q)`` lanes, upwinded by drift sign.
 
-    ``velocity`` broadcasts against the field (per-lane drift tables or
-    a shared ``(n_h, 1)`` profile alike); ``spacing`` may be per lane.
+    For positive velocity information flows from lower indices, so the
+    backward difference is used; for negative velocity the forward
+    difference.  Boundary rows fall back to the available one-sided
+    difference.  ``velocity`` broadcasts against the field (per-lane
+    drift tables or a shared ``(n_h, 1)`` profile alike); ``spacing``
+    may be per lane.
     """
     field = _check_batched("field", field)
     spacing = _batched_spacing(spacing, field.shape[0])
@@ -227,7 +132,7 @@ def batched_upwind_gradient(
 
 
 def batched_central_gradient(field: np.ndarray, spacing, axis: int) -> np.ndarray:
-    """Batched :func:`central_gradient` over ``(B, n_h, n_q)`` lanes."""
+    """:func:`central_gradient` of every lane of a ``(B, n_h, n_q)`` stack."""
     field = _check_batched("field", field)
     spacing = _batched_spacing(spacing, field.shape[0])
     f = _to_last_axis(field, axis)
@@ -239,7 +144,11 @@ def batched_central_gradient(field: np.ndarray, spacing, axis: int) -> np.ndarra
 
 
 def batched_second_derivative(field: np.ndarray, spacing, axis: int) -> np.ndarray:
-    """Batched :func:`second_derivative` over ``(B, n_h, n_q)`` lanes."""
+    """Central second derivative over ``(B, n_h, n_q)`` lanes.
+
+    Boundaries are reflected (Neumann): the ghost node mirrors the
+    first interior node.
+    """
     field = _check_batched("field", field)
     spacing = _batched_spacing(spacing, field.shape[0])
     f = _to_last_axis(field, axis)
@@ -254,11 +163,12 @@ def batched_second_derivative(field: np.ndarray, spacing, axis: int) -> np.ndarr
 def batched_conservative_advection(
     density: np.ndarray, velocity: np.ndarray, spacing, axis: int
 ) -> np.ndarray:
-    """Batched :func:`conservative_advection` over ``(B, n_h, n_q)`` lanes.
+    """``-d(v * rho)/dx`` over ``(B, n_h, n_q)`` lanes, donor-cell fluxes.
 
-    Donor-cell fluxes with zero-flux boundaries per lane; the per-lane
-    column sums of the update remain exactly zero, so each lane's total
-    mass is conserved just like the scalar scheme.
+    The interface flux between cells ``i`` and ``i+1`` is
+    ``F = v_f^+ rho_i + v_f^- rho_{i+1}`` with ``v_f`` the interface
+    velocity average; the boundary fluxes are forced to zero, so each
+    lane's update sums to zero and its total mass is conserved.
     """
     density = _check_batched("density", density)
     spacing = _batched_spacing(spacing, density.shape[0])
@@ -280,7 +190,7 @@ def batched_conservative_advection(
 def batched_conservative_diffusion(
     density: np.ndarray, diffusivity: float, spacing, axis: int
 ) -> np.ndarray:
-    """Batched :func:`conservative_diffusion` over ``(B, n_h, n_q)`` lanes."""
+    """``d/dx ( D d(rho)/dx )`` over ``(B, n_h, n_q)`` lanes, zero-flux boundaries."""
     density = _check_batched("density", density)
     spacing = _batched_spacing(spacing, density.shape[0])
     if diffusivity < 0:

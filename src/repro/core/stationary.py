@@ -13,7 +13,7 @@ controlled diffusion) and time-constant market quantities.  This
 module solves that system by
 
 * value iteration — artificial-time marching of the discounted HJB,
-  reusing the monotone Godunov machinery of
+  reusing the monotone Godunov step of the one-lane
   :class:`repro.core.hjb.HJBSolver`;
 * power iteration — repeated conservative FPK steps until the density
   stops moving;
@@ -144,12 +144,12 @@ class StationarySolver:
         )
         dt = self._dt
         for _ in range(max_steps):
-            rhs, control = self._hjb._step_rhs(value, ctx)
-            update = dt * (rhs - self.discount * value)
+            rhs, control = self._hjb.batch.step_rhs(value[None], [ctx])
+            update = dt * (rhs[0] - self.discount * value)
             value = value + update
             residual = float(np.max(np.abs(update))) / dt
             if residual < tol * (1.0 + float(np.max(np.abs(value)))):
-                return value, control
+                return value, control[0]
         raise RuntimeError(
             f"value iteration did not converge in {max_steps} steps "
             f"(residual {residual:.3e})"
@@ -176,7 +176,7 @@ class StationarySolver:
         drift_q = self.config.drift_rate(policy)
         dt = self.grid.dt / self._fpk.substeps_per_interval()
         for _ in range(max_steps):
-            new = self._fpk._step(density, drift_q, dt)
+            new = self._fpk.batch.step(density[None], drift_q[None], dt)[0]
             change = float(np.max(np.abs(new - density)))
             density = new
             if change < tol * (1.0 + float(density.max())):

@@ -1,25 +1,33 @@
 """Tests for the batched (content-axis) HJB–FPK pipeline.
 
-The batched solvers promise *bit-identity* with the scalar path: every
-batched operation is elementwise along the leading content axis and
-replays the scalar solvers' floating-point operation order, so a lane
-pulled out of a batch must match a scalar solve of that lane alone
-exactly — values, densities, policies, and iteration histories.
+The batched sweeps are the solver's only HJB/FPK implementation; a
+single content is the batch of one lane.  Two independent checks pin
+them down:
+
+* ``scalar_reference`` keeps the single-content 2-D formulation (its
+  own stencils, Godunov step and FPK step) as a test-only oracle, and
+  every lane of a batched sweep must equal the reference sweep of that
+  lane alone, bit for bit;
+* a lane's result must not depend on the batch it rides in: one batch
+  of N lanes equals N one-lane solves — values, densities, policies,
+  and iteration histories.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.best_response import (
     BatchedBestResponseIterator,
     BestResponseIterator,
     build_grid,
 )
-from repro.core.fpk import BatchedFPKSolver, FPKSolver, batched_initial_density, initial_density
+from repro.core.fpk import BatchedFPKSolver, batched_initial_density, initial_density
 from repro.core.grid import BatchGrid
-from repro.core.hjb import BatchedHJBSolver, HJBSolver, validate_shared_lane_params
+from repro.core.hjb import BatchedHJBSolver, validate_shared_lane_params
 from repro.core.mean_field import MeanFieldEstimator
 from repro.core.operators import (
     batched_central_gradient,
@@ -28,13 +36,17 @@ from repro.core.operators import (
     batched_second_derivative,
     batched_upwind_gradient,
     central_gradient,
+)
+from repro.core.parameters import MFGCPConfig
+from repro.obs.telemetry import SolverTelemetry, StrictNumericsError
+from scalar_reference import (
+    ReferenceFPK,
+    ReferenceHJB,
     conservative_advection,
     conservative_diffusion,
     second_derivative,
     upwind_gradient,
 )
-from repro.core.parameters import MFGCPConfig
-from repro.obs.telemetry import SolverTelemetry, StrictNumericsError
 
 
 def tiny_config(**overrides):
@@ -59,7 +71,7 @@ def lane_configs():
 
 
 class TestBatchedOperators:
-    """Each batched stencil must equal the scalar stencil per lane."""
+    """Each batched stencil must equal the 2-D reference stencil per lane."""
 
     @pytest.fixture()
     def fields(self):
@@ -169,7 +181,7 @@ class TestBatchGrid:
 
 
 class TestBatchedSweeps:
-    """One batched sweep == N scalar sweeps, bit for bit."""
+    """One batched sweep == N reference sweeps, bit for bit."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -186,16 +198,16 @@ class TestBatchedSweeps:
         configs, grids, batch, mean_fields = setup
         values, policies = BatchedHJBSolver(configs, batch).solve(mean_fields)
         for b, (cfg, grid) in enumerate(zip(configs, grids)):
-            solution = HJBSolver(cfg, grid).solve(mean_fields[b])
-            assert np.array_equal(values[b], solution.value)
-            assert np.array_equal(policies[b], solution.policy.table)
+            ref_values, ref_policies = ReferenceHJB(cfg, grid).solve(mean_fields[b])
+            assert np.array_equal(values[b], ref_values)
+            assert np.array_equal(policies[b], ref_policies)
 
     def test_fpk_forward_sweep_bit_identical(self, setup):
         configs, grids, batch, _ = setup
         policy = np.full(batch.path_shape, 0.4)
         paths = BatchedFPKSolver(configs, batch).solve(policy)
         for b, (cfg, grid) in enumerate(zip(configs, grids)):
-            expected = FPKSolver(cfg, grid).solve(policy[b])
+            expected = ReferenceFPK(cfg, grid).solve(policy[b])
             assert np.array_equal(paths[b], expected)
 
     def test_batched_initial_density_matches_scalar(self, setup):
@@ -220,6 +232,71 @@ class TestBatchedSweeps:
         configs[1] = replace(configs[1], eta2=configs[1].eta2 * 2)
         with pytest.raises(ValueError, match="economic parameters"):
             validate_shared_lane_params(configs)
+
+    def test_fpk_rejects_lanes_with_different_caching_noise(self):
+        # The forward sweep applies one diffusion and one caching drift
+        # to the whole batch; a lane with its own caching process must
+        # be refused rather than silently solved with lane 0's.
+        base = lane_configs()[0]
+        other = replace(
+            base, caching=replace(base.caching, noise=3.0 * base.caching.noise)
+        )
+        batch = BatchGrid.from_grids([build_grid(base), build_grid(other)])
+        with pytest.raises(ValueError, match="caching process"):
+            BatchedFPKSolver([base, other], batch)
+
+
+lane_specs = st.fixed_dictionaries(
+    dict(
+        content_size=st.floats(5.0, 150.0),
+        popularity=st.floats(0.0, 1.0),
+        timeliness=st.floats(0.5, 3.0),
+        n_requests=st.floats(1.0, 50.0),
+    )
+)
+
+
+class TestReferenceProperty:
+    """Drawn lane families: every batched lane equals the 2-D reference."""
+
+    @given(
+        specs=st.lists(lane_specs, min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batched_sweeps_equal_reference_per_lane(self, specs, seed):
+        configs = [tiny_config(**spec) for spec in specs]
+        grids = [build_grid(cfg) for cfg in configs]
+        batch = BatchGrid.from_grids(grids)
+        rng = np.random.default_rng(seed)
+
+        # HJB against a perturbed market, so price, peer state and
+        # sharing benefit vary over time and across lanes.
+        mean_fields = []
+        for cfg, grid in zip(configs, grids):
+            guess = MeanFieldEstimator(cfg, grid).constant_guess()
+            n = grid.n_t + 1
+            mean_fields.append(
+                replace(
+                    guess,
+                    price=guess.price * rng.uniform(0.5, 1.5, n),
+                    mean_q=rng.uniform(0.0, cfg.content_size, n),
+                    sharing_benefit=rng.uniform(0.0, 1.0, n),
+                )
+            )
+        values, policies = BatchedHJBSolver(configs, batch).solve(mean_fields)
+
+        # FPK under a drawn policy table and a drawn initial density.
+        policy = rng.uniform(0.0, 1.0, batch.path_shape)
+        density0 = rng.uniform(0.0, 1.0, batch.shape)
+        paths = BatchedFPKSolver(configs, batch).solve(policy, density0)
+
+        for b, (cfg, grid) in enumerate(zip(configs, grids)):
+            ref_values, ref_policies = ReferenceHJB(cfg, grid).solve(mean_fields[b])
+            assert np.array_equal(values[b], ref_values), b
+            assert np.array_equal(policies[b], ref_policies), b
+            ref_path = ReferenceFPK(cfg, grid).solve(policy[b], density0[b])
+            assert np.array_equal(paths[b], ref_path), b
 
 
 class TestBatchedBestResponse:

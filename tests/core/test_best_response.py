@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.best_response import BestResponseIterator, build_grid
+from repro.core.hjb import HJBSolver
 from repro.core.parameters import MFGCPConfig
 
 
@@ -57,8 +58,8 @@ class TestSolve:
 
     def test_equilibrium_is_fixed_point(self, fast_config, solved_equilibrium):
         # One more best-response sweep barely moves the policy.
-        iterator = BestResponseIterator(fast_config, grid=solved_equilibrium.grid)
-        solution = iterator.hjb.solve(solved_equilibrium.mean_field)
+        hjb = HJBSolver(fast_config, solved_equilibrium.grid)
+        solution = hjb.solve(solved_equilibrium.mean_field)
         gap = np.max(np.abs(solution.policy.table - solved_equilibrium.policy.table))
         assert gap < 10 * fast_config.tolerance
 
@@ -86,7 +87,7 @@ class TestSolve:
     def test_warm_start_from_equilibrium_converges_fast(
         self, fast_config, solved_equilibrium
     ):
-        iterator = BestResponseIterator(fast_config, grid=solved_equilibrium.grid)
+        iterator = BestResponseIterator(fast_config)
         warm = iterator.solve(initial_policy=solved_equilibrium.policy.table)
         assert warm.report.converged
         # Warm-starting from the fixed point itself needs very few

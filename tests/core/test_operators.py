@@ -1,15 +1,20 @@
-"""Tests for the finite-difference operators."""
+"""Tests for the finite-difference operators.
+
+The solver stencils act on ``(B, n_h, n_q)`` lane stacks; every
+analytic check runs on a single lane (B=1) and on a stack of lanes
+with different per-lane spacings (B>1).
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.operators import (
+    batched_conservative_advection,
+    batched_conservative_diffusion,
+    batched_second_derivative,
+    batched_upwind_gradient,
     central_gradient,
-    conservative_advection,
-    conservative_diffusion,
-    second_derivative,
     stable_time_step,
-    upwind_gradient,
 )
 
 
@@ -17,6 +22,11 @@ def linear_field(nh=6, nq=8, ah=2.0, aq=3.0):
     h = np.arange(nh)[:, None] * 0.5
     q = np.arange(nq)[None, :] * 1.5
     return ah * h + aq * q
+
+
+def lanes(field, n_lanes):
+    """``n_lanes`` copies of a 2-D field as a ``(B, n_h, n_q)`` stack."""
+    return np.repeat(np.asarray(field, dtype=float)[None], n_lanes, axis=0)
 
 
 class TestGradients:
@@ -28,86 +38,122 @@ class TestGradients:
         assert np.allclose(gq, 3.0)
 
     def test_upwind_exact_on_linear_both_signs(self):
-        field = linear_field()
-        for vel in (+1.0, -1.0):
-            gh = upwind_gradient(field, 0.5, np.full(field.shape, vel), axis=0)
-            assert np.allclose(gh, 2.0)
+        for n_lanes in (1, 3):
+            # Lane b is the linear field with its h spacing stretched by
+            # (b + 1): the slope per unit h shrinks by the same factor.
+            field = lanes(linear_field(), n_lanes)
+            spacing = 0.5 * np.arange(1, n_lanes + 1)
+            for vel in (+1.0, -1.0):
+                gh = batched_upwind_gradient(
+                    field, spacing, np.full(field.shape, vel), axis=0
+                )
+                for b in range(n_lanes):
+                    assert np.allclose(gh[b], 2.0 / (b + 1))
 
     def test_upwind_selects_direction(self):
-        # A kinked field distinguishes forward from backward differences.
-        field = np.zeros((1, 5))
-        field[0] = [0.0, 0.0, 1.0, 0.0, 0.0]
-        back = upwind_gradient(field, 1.0, np.ones((1, 5)), axis=1)
-        fwd = upwind_gradient(field, 1.0, -np.ones((1, 5)), axis=1)
-        # At the peak: backward difference sees +1, forward sees -1.
-        assert back[0, 2] == pytest.approx(1.0)
-        assert fwd[0, 2] == pytest.approx(-1.0)
+        for n_lanes in (1, 3):
+            # A kinked field distinguishes forward from backward differences.
+            field = np.zeros((n_lanes, 1, 5))
+            field[:, 0] = [0.0, 0.0, 1.0, 0.0, 0.0]
+            ones = np.ones(field.shape)
+            back = batched_upwind_gradient(field, 1.0, ones, axis=1)
+            fwd = batched_upwind_gradient(field, 1.0, -ones, axis=1)
+            # At the peak: backward difference sees +1, forward sees -1.
+            assert np.all(back[:, 0, 2] == pytest.approx(1.0))
+            assert np.all(fwd[:, 0, 2] == pytest.approx(-1.0))
 
     def test_second_derivative_on_quadratic(self):
-        q = np.arange(9)[None, :] * 2.0
-        field = np.tile(q**2, (3, 1))
-        lap = second_derivative(field, 2.0, axis=1)
-        # Interior exactly 2; boundaries use the Neumann closure.
-        assert np.allclose(lap[:, 1:-1], 2.0)
+        for n_lanes in (1, 3):
+            q = np.arange(9)[None, :] * 2.0
+            field = lanes(np.tile(q**2, (3, 1)), n_lanes)
+            lap = batched_second_derivative(field, np.full(n_lanes, 2.0), axis=1)
+            # Interior exactly 2; boundaries use the Neumann closure.
+            assert np.allclose(lap[:, :, 1:-1], 2.0)
 
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
             central_gradient(np.ones((3, 3)), 1.0, axis=2)
         with pytest.raises(ValueError, match="axis"):
-            upwind_gradient(np.ones((3, 3)), 1.0, np.ones((3, 3)), axis=-1)
+            batched_upwind_gradient(
+                np.ones((1, 3, 3)), 1.0, np.ones((1, 3, 3)), axis=-1
+            )
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
             central_gradient(np.ones((3, 3)), 0.0, axis=0)
+        with pytest.raises(ValueError, match="spacing"):
+            batched_second_derivative(np.ones((2, 3, 3)), [1.0, -1.0], axis=0)
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
-            second_derivative(np.ones(5), 1.0, axis=0)
+            central_gradient(np.ones(5), 1.0, axis=0)
+        with pytest.raises(ValueError, match="3-D"):
+            batched_second_derivative(np.ones((3, 3)), 1.0, axis=0)
 
 
 class TestConservativeOperators:
     def test_advection_conserves_mass(self):
-        rng = np.random.default_rng(0)
-        density = rng.uniform(0, 1, (6, 10))
-        velocity = rng.uniform(-2, 2, (6, 10))
-        for axis in (0, 1):
-            update = conservative_advection(density, velocity, 0.7, axis=axis)
-            assert abs(update.sum()) < 1e-12
+        for n_lanes in (1, 4):
+            rng = np.random.default_rng(0)
+            density = rng.uniform(0, 1, (n_lanes, 6, 10))
+            velocity = rng.uniform(-2, 2, (n_lanes, 6, 10))
+            spacing = rng.uniform(0.3, 1.2, n_lanes)
+            for axis in (0, 1):
+                update = batched_conservative_advection(
+                    density, velocity, spacing, axis=axis
+                )
+                assert np.all(np.abs(update.sum(axis=(1, 2))) < 1e-12)
 
     def test_advection_moves_mass_downstream(self):
-        density = np.zeros((1, 9))
-        density[0, 4] = 1.0
-        update = conservative_advection(density, np.ones((1, 9)), 1.0, axis=1)
-        # Positive velocity drains cell 4 into cell 5.
-        assert update[0, 4] < 0
-        assert update[0, 5] > 0
-        assert update[0, 3] == 0.0
+        for n_lanes in (1, 3):
+            density = np.zeros((n_lanes, 1, 9))
+            density[:, 0, 4] = 1.0
+            update = batched_conservative_advection(
+                density, np.ones(density.shape), 1.0, axis=1
+            )
+            # Positive velocity drains cell 4 into cell 5.
+            assert np.all(update[:, 0, 4] < 0)
+            assert np.all(update[:, 0, 5] > 0)
+            assert np.all(update[:, 0, 3] == 0.0)
 
     def test_diffusion_conserves_mass(self):
-        rng = np.random.default_rng(1)
-        density = rng.uniform(0, 1, (6, 10))
-        for axis in (0, 1):
-            update = conservative_diffusion(density, 0.5, 0.7, axis=axis)
-            assert abs(update.sum()) < 1e-12
+        for n_lanes in (1, 4):
+            rng = np.random.default_rng(1)
+            density = rng.uniform(0, 1, (n_lanes, 6, 10))
+            spacing = rng.uniform(0.3, 1.2, n_lanes)
+            for axis in (0, 1):
+                update = batched_conservative_diffusion(
+                    density, 0.5, spacing, axis=axis
+                )
+                assert np.all(np.abs(update.sum(axis=(1, 2))) < 1e-12)
 
     def test_diffusion_flattens_peak(self):
-        density = np.zeros((1, 9))
-        density[0, 4] = 1.0
-        update = conservative_diffusion(density, 1.0, 1.0, axis=1)
-        assert update[0, 4] < 0
-        assert update[0, 3] > 0 and update[0, 5] > 0
+        for n_lanes in (1, 3):
+            density = np.zeros((n_lanes, 1, 9))
+            density[:, 0, 4] = 1.0
+            update = batched_conservative_diffusion(density, 1.0, 1.0, axis=1)
+            assert np.all(update[:, 0, 4] < 0)
+            assert np.all(update[:, 0, 3] > 0) and np.all(update[:, 0, 5] > 0)
 
     def test_diffusion_zero_diffusivity_is_noop(self):
-        density = np.random.default_rng(2).uniform(0, 1, (4, 4))
-        assert np.allclose(conservative_diffusion(density, 0.0, 1.0, 1), 0.0)
+        density = np.random.default_rng(2).uniform(0, 1, (3, 4, 4))
+        assert np.allclose(
+            batched_conservative_diffusion(density, 0.0, 1.0, 1), 0.0
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError, match="spacing"):
-            conservative_advection(np.ones((2, 2)), np.ones((2, 2)), 0.0, 1)
+            batched_conservative_advection(
+                np.ones((1, 2, 2)), np.ones((1, 2, 2)), 0.0, 1
+            )
         with pytest.raises(ValueError, match="diffusivity"):
-            conservative_diffusion(np.ones((2, 2)), -1.0, 1.0, 1)
+            batched_conservative_diffusion(np.ones((1, 2, 2)), -1.0, 1.0, 1)
         with pytest.raises(ValueError, match="axis"):
-            conservative_advection(np.ones((2, 2)), np.ones((2, 2)), 1.0, 3)
+            batched_conservative_advection(
+                np.ones((1, 2, 2)), np.ones((1, 2, 2)), 1.0, 3
+            )
+        with pytest.raises(ValueError, match="per-lane spacing"):
+            batched_conservative_diffusion(np.ones((2, 2, 2)), 1.0, [1.0], 1)
 
 
 class TestStableTimeStep:

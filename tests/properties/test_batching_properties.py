@@ -4,7 +4,7 @@ The convergence mask lets each content drop out of the batch at its
 own iteration, so the per-content convergence *order* is an arbitrary
 interleaving decided by the drawn parameters.  Whatever that order
 turns out to be, every lane's final equilibrium must agree with a
-scalar solve of that lane alone — the mask may only change *when* a
+one-lane solve of that lane alone — the mask may only change *when* a
 lane stops, never *where* it stops.
 """
 

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from repro.core.grid import StateGrid
 from repro.core.knapsack import KnapsackItem, solve_01_knapsack, solve_fractional_knapsack
-from repro.core.operators import conservative_advection, conservative_diffusion
+from repro.core.operators import (
+    batched_conservative_advection,
+    batched_conservative_diffusion,
+)
 from repro.core.policy import optimal_control
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -84,19 +87,25 @@ class TestKnapsackProperties:
 class TestConservationProperties:
     @given(
         seed=st.integers(0, 10_000),
+        n_lanes=st.integers(1, 4),
         spacing=st.floats(0.1, 5.0, **finite),
         diffusivity=st.floats(0.0, 10.0, **finite),
     )
     @settings(max_examples=100, deadline=None)
-    def test_operators_conserve_mass(self, seed, spacing, diffusivity):
+    def test_operators_conserve_mass(self, seed, n_lanes, spacing, diffusivity):
+        # Every lane of the stack conserves its own mass, with per-lane
+        # spacings drawn around the shared one.
         rng = np.random.default_rng(seed)
-        density = rng.uniform(0.0, 1.0, size=(5, 8))
-        velocity = rng.uniform(-3.0, 3.0, size=(5, 8))
+        density = rng.uniform(0.0, 1.0, size=(n_lanes, 5, 8))
+        velocity = rng.uniform(-3.0, 3.0, size=(n_lanes, 5, 8))
+        spacings = spacing * rng.uniform(0.5, 2.0, size=n_lanes)
         for axis in (0, 1):
-            adv = conservative_advection(density, velocity, spacing, axis)
-            diff = conservative_diffusion(density, diffusivity, spacing, axis)
-            assert abs(adv.sum()) < 1e-10
-            assert abs(diff.sum()) < 1e-10
+            adv = batched_conservative_advection(density, velocity, spacings, axis)
+            diff = batched_conservative_diffusion(
+                density, diffusivity, spacings, axis
+            )
+            assert np.all(np.abs(adv.sum(axis=(1, 2))) < 1e-10)
+            assert np.all(np.abs(diff.sum(axis=(1, 2))) < 1e-10)
 
 
 class TestGridProperties:

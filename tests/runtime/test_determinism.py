@@ -112,10 +112,11 @@ class TestEpochLoopDeterminism:
 
 
 class TestBatchedSolverEquivalence:
-    """The scalar-vs-batched equivalence guard.
+    """The per-content-vs-batched equivalence guard.
 
-    The batched tensor pipeline replicates the scalar solvers'
-    floating-point operation order lane by lane, so the guard demands
+    Every solve runs the batched sweeps; the per-content path ("scalar"
+    below) solves each content as a one-lane batch.  A lane's result
+    must not depend on the batch it rides in, so the guard demands
     *bit-identical* equilibria — not just tolerance agreement — across
     (a) the per-content path, (b) the batched path on the serial
     backend, and (c) the batched path on a 2-worker process pool.
