@@ -34,11 +34,10 @@ not overwrite-in-place snapshots.  Each file is a JSON object::
 
 Bench ``__main__`` blocks append one entry per invocation through
 :func:`append_bench_record` (a thin wrapper over
-``repro.obs.trend.append_bench_entry``), which also migrates the
-legacy flat-dict shape on first touch.  ``repro trend`` folds the
-entries into per-metric time series and ``repro compare --bench``
-diffs the newest entries of two files; both reject malformed files
-with exit 2.  See ``docs/observability.md`` ("Run registry & trends").
+``repro.obs.trend.append_bench_entry``).  ``repro trend`` folds the
+entries into per-metric time series and gates the newest entry
+against the history; a file in any other shape (a flat metrics dict
+included) exits 2.  See ``docs/observability.md`` ("Run registry & trends").
 """
 
 import os

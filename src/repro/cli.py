@@ -15,9 +15,9 @@ Subcommands
     Summarise a telemetry JSONL run: span tree, iteration table,
     numerical health, and top metrics (see ``docs/observability.md``).
 ``compare``
-    Diff two telemetry runs (span timings, metrics, diagnostics) or
-    two benchmark JSON files (``--bench``) with relative-regression
-    thresholds; ``--fail-on-regression`` turns findings into exit 1.
+    Diff two telemetry runs (span timings, metrics, diagnostics) with
+    relative-regression thresholds; ``--fail-on-regression`` turns
+    findings into exit 1.  BENCH trajectories are judged by ``trend``.
 ``trace``
     Two modes: ``repro trace RUN.jsonl OUT.json`` exports a telemetry
     run as a Chrome trace-event file (open in chrome://tracing or
@@ -107,7 +107,7 @@ from repro.content.trace import SyntheticYouTubeTrace
 from repro.core.parameters import MFGCPConfig
 from repro.core.solver import MFGCPSolver
 from repro.core import theory
-from repro.obs.compare import compare_bench, compare_runs
+from repro.obs.compare import compare_runs
 from repro.obs.events import read_events_tolerant
 from repro.obs.report import load_run, render_report
 from repro.obs.trace import write_chrome_trace
@@ -267,13 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("path", help="telemetry JSONL file to summarise")
 
     p_cmp = sub.add_parser(
-        "compare", help="diff two telemetry runs or benchmark JSON files"
+        "compare",
+        help="diff two telemetry runs (BENCH trajectories: use 'trend')",
     )
-    p_cmp.add_argument("baseline", help="baseline run (JSONL, or JSON with --bench)")
+    p_cmp.add_argument("baseline", help="baseline telemetry run (JSONL)")
     p_cmp.add_argument("candidate", help="candidate run to compare against it")
-    p_cmp.add_argument("--bench", action="store_true",
-                       help="treat the inputs as benchmark JSON documents "
-                            "(BENCH_*.json) instead of telemetry JSONL runs")
     p_cmp.add_argument("--span-threshold", type=float, default=0.2,
                        help="relative span-time growth that counts as a "
                             "regression (default 0.2 = +20%%)")
@@ -423,11 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     r_diff.add_argument("baseline", help="seq number or run-id prefix")
     r_diff.add_argument("candidate", help="seq number or run-id prefix")
     r_diff.add_argument("--threshold", type=float, default=0.2,
-                        help="relative metric change worth reporting "
-                             "(default 0.2; config diffs are always exact)")
+                        help="relative headline-metric change that counts "
+                             "as a regression (default 0.2; config diffs "
+                             "are always exact)")
     r_diff.add_argument("--fail-on-regression", action="store_true",
-                        help="exit 1 when a timing-style headline metric "
-                             "regressed past the threshold")
+                        help="exit 1 when any directional headline metric "
+                             "got worse by more than the threshold")
     r_gc = runs_sub.add_parser("gc", help="prune oldest manifests")
     r_gc.add_argument("--keep", type=int, required=True, metavar="N",
                       help="retain the N newest manifests (the newest "
@@ -1034,35 +1033,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.bench:
-        from repro.obs.trend import (
-            BenchFormatError,
-            latest_entry_metrics,
-            load_bench_trajectory,
-        )
-
-        docs = []
-        for path in (args.baseline, args.candidate):
-            try:
-                # Accepts both shapes: a legacy single-snapshot dict
-                # and an append-only trajectory (the newest entry of
-                # each side is what gets compared).
-                docs.append(latest_entry_metrics(load_bench_trajectory(path)))
-            except BenchFormatError as err:
-                print(f"error: {err}", file=sys.stderr)
-                return 2
-        result = compare_bench(docs[0], docs[1], threshold=args.span_threshold)
-    else:
-        baseline = _load_run_checked(args.baseline)
-        candidate = _load_run_checked(args.candidate)
-        if baseline is None or candidate is None:
-            return 2
-        result = compare_runs(
-            baseline,
-            candidate,
-            span_threshold=args.span_threshold,
-            metric_threshold=args.metric_threshold,
-        )
+    baseline = _load_run_checked(args.baseline)
+    candidate = _load_run_checked(args.candidate)
+    if baseline is None or candidate is None:
+        return 2
+    result = compare_runs(
+        baseline,
+        candidate,
+        span_threshold=args.span_threshold,
+        metric_threshold=args.metric_threshold,
+    )
     print(result.render())
     if args.fail_on_regression and result.has_regressions:
         return 1
@@ -1135,6 +1115,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         render_manifest,
         render_runs_table,
     )
+    from repro.obs.trend import find_regressions
 
     registry = RunRegistry(args.registry_dir)
     manifests, warnings = registry.load_all()
@@ -1178,11 +1159,11 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                 print(f"error: no run matching {ref!r} in {registry.root}",
                       file=sys.stderr)
                 return 2
-        config_changes, comparison = diff_manifests(
-            baseline, candidate, threshold=args.threshold
-        )
-        _print_pipe_safe(render_diff(baseline, candidate, config_changes, comparison))
-        if args.fail_on_regression and comparison.has_regressions:
+        config_changes, series = diff_manifests(baseline, candidate)
+        _print_pipe_safe(render_diff(
+            baseline, candidate, config_changes, series, args.threshold
+        ))
+        if args.fail_on_regression and find_regressions(series, args.threshold):
             return 1
         return 0
 

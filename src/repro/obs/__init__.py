@@ -26,7 +26,7 @@ trend analytics over append-only ``BENCH_*.json`` trajectories
 See ``docs/observability.md`` for the event schema and span semantics.
 """
 
-from repro.obs.compare import ComparisonResult, Delta, compare_bench, compare_runs
+from repro.obs.compare import ComparisonResult, Delta, compare_runs
 from repro.obs.diagnostics import (
     CFLMarginProbe,
     DampingStabilityProbe,
@@ -105,7 +105,6 @@ from repro.obs.trend import (
     append_bench_entry,
     bench_series,
     find_regressions,
-    latest_entry_metrics,
     load_bench_trajectory,
     metric_direction,
     registry_series,
@@ -165,7 +164,6 @@ __all__ = [
     "ComparisonResult",
     "Delta",
     "compare_runs",
-    "compare_bench",
     "build_chrome_trace",
     "write_chrome_trace",
     "MANIFEST_SCHEMA_VERSION",
@@ -185,7 +183,6 @@ __all__ = [
     "append_bench_entry",
     "bench_series",
     "find_regressions",
-    "latest_entry_metrics",
     "load_bench_trajectory",
     "metric_direction",
     "registry_series",

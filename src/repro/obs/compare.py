@@ -1,4 +1,4 @@
-"""Cross-run comparison for telemetry streams and benchmark files.
+"""Cross-run comparison for telemetry streams.
 
 ``repro compare A.jsonl B.jsonl`` answers the question every
 performance or correctness PR raises: *did anything regress between
@@ -12,9 +12,9 @@ these two runs?*  The comparison covers the three observable surfaces:
 * **diagnostics** — ``diag.*`` findings per severity; *new* errors or
   warnings in the candidate run are regressions regardless of timing.
 
-``repro compare --bench A.json B.json`` applies the same relative-delta
-machinery to benchmark JSON documents (``BENCH_*.json``), diffing every
-numeric leaf by its dotted path.
+Benchmark trajectories (``BENCH_*.json``) and run-registry headlines
+are judged by :mod:`repro.obs.trend` instead (``repro trend``,
+``repro runs diff``).
 
 The module is pure data transformation — comparisons are reproducible
 from the files alone and never consult the clock.
@@ -23,9 +23,10 @@ from the files alone and never consult the clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.obs.report import RunSummary
+from repro.obs.trend import format_change, relative_change
 
 SPAN_NOISE_FLOOR_S = 5e-3
 """Spans whose baseline total is below this never count as regressions
@@ -46,17 +47,7 @@ class Delta:
         """Relative change (candidate − baseline) / |baseline|."""
         if self.baseline is None or self.candidate is None:
             return None
-        if self.baseline == 0:
-            return None if self.candidate == 0 else float("inf")
-        return (self.candidate - self.baseline) / abs(self.baseline)
-
-    def format_change(self) -> str:
-        rel = self.rel_change
-        if rel is None:
-            return "-"
-        if rel == float("inf"):
-            return "new"
-        return f"{rel:+.1%}"
+        return relative_change(self.baseline, self.candidate)
 
 
 @dataclass
@@ -66,7 +57,6 @@ class ComparisonResult:
     span_deltas: List[Delta] = field(default_factory=list)
     metric_deltas: List[Delta] = field(default_factory=list)
     diag_deltas: List[Delta] = field(default_factory=list)
-    bench_deltas: List[Delta] = field(default_factory=list)
     regressions: List[str] = field(default_factory=list)
 
     @property
@@ -86,7 +76,7 @@ class ComparisonResult:
                     d.name,
                     f"{d.baseline:.6g}" if d.baseline is not None else "-",
                     f"{d.candidate:.6g}" if d.candidate is not None else "-",
-                    d.format_change(),
+                    format_change(d.rel_change),
                     "REGRESSED" if d.regressed else "",
                 )
                 for d in deltas
@@ -102,7 +92,6 @@ class ComparisonResult:
         table("span timings", self.span_deltas, "s")
         table("metrics", self.metric_deltas, "")
         table("diagnostics (findings)", self.diag_deltas, "count")
-        table("benchmark values", self.bench_deltas, "")
         if self.has_regressions:
             sections.append(
                 "REGRESSIONS ({n}):\n{body}".format(
@@ -157,7 +146,8 @@ def compare_runs(
         if regressed:
             result.regressions.append(
                 f"span {path}: {a_total:.4f}s -> {b_total:.4f}s "
-                f"({delta.format_change()}, threshold +{span_threshold:.0%})"
+                f"({format_change(delta.rel_change)}, "
+                f"threshold +{span_threshold:.0%})"
             )
 
     # Metrics: report changes beyond the threshold, never regress.
@@ -200,66 +190,5 @@ def compare_runs(
             result.regressions.append(
                 f"diagnostics: {severity} findings went "
                 f"{int(delta.baseline)} -> {int(delta.candidate)}"
-            )
-    return result
-
-
-def _flatten_numeric(doc: Any, prefix: str = "") -> Dict[str, float]:
-    """Dot-path every numeric leaf of a JSON-like document."""
-    flat: Dict[str, float] = {}
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            flat.update(_flatten_numeric(value, f"{prefix}{key}."))
-    elif isinstance(doc, list):
-        for i, value in enumerate(doc):
-            flat.update(_flatten_numeric(value, f"{prefix}{i}."))
-    elif isinstance(doc, bool):
-        pass  # bools are ints in Python; not meaningful to diff
-    elif isinstance(doc, (int, float)):
-        flat[prefix[:-1]] = float(doc)
-    return flat
-
-
-def compare_bench(
-    baseline: Any,
-    candidate: Any,
-    threshold: float = 0.2,
-    regress_on: Tuple[str, ...] = ("seconds", "_s", "latency", "time"),
-) -> ComparisonResult:
-    """Diff two benchmark JSON documents leaf by leaf.
-
-    Every numeric leaf is compared; leaves whose dotted path mentions a
-    timing keyword (``regress_on``) count as regressions when the
-    candidate grew past ``threshold`` — throughput-style numbers are
-    reported but never fail the comparison (bigger is better there).
-    """
-    result = ComparisonResult()
-    a_flat = _flatten_numeric(baseline)
-    b_flat = _flatten_numeric(candidate)
-    for name in sorted(set(a_flat) | set(b_flat)):
-        a_val = a_flat.get(name)
-        b_val = b_flat.get(name)
-        timing = any(key in name.lower() for key in regress_on)
-        regressed = (
-            timing
-            and a_val is not None
-            and b_val is not None
-            and a_val > 0
-            and (b_val - a_val) / a_val > threshold
-        )
-        delta = Delta(name, a_val, b_val, regressed)
-        rel = delta.rel_change
-        if (
-            a_val is None
-            or b_val is None
-            or regressed
-            or (rel is not None and rel != float("inf") and abs(rel) > threshold)
-            or rel == float("inf")
-        ):
-            result.bench_deltas.append(delta)
-        if regressed:
-            result.regressions.append(
-                f"bench {name}: {a_val:.6g} -> {b_val:.6g} "
-                f"({delta.format_change()}, threshold +{threshold:.0%})"
             )
     return result

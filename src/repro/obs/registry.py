@@ -17,9 +17,9 @@ exactly like the ``--live-status`` writer, it reads the finished
 telemetry but never emits events into it, so the normalized stream
 stays bit-identical serial vs ``process:N`` with the registry on.
 
-On top of the store: ``repro runs list|show|diff|gc`` (diff reuses
-:mod:`repro.obs.compare` with its noise floor) and ``repro trend``
-(:mod:`repro.obs.trend`).  Opt out per run with ``--no-registry``,
+On top of the store: ``repro runs list|show|diff|gc`` (diff judges
+headline metrics with :mod:`repro.obs.trend`'s direction rule) and
+``repro trend``.  Opt out per run with ``--no-registry``,
 per environment with ``REPRO_REGISTRY=0``; relocate the store with
 ``--registry-dir`` or ``REPRO_REGISTRY_DIR``.
 """
@@ -379,20 +379,18 @@ class RunRegistry:
         return removed
 
 
-def diff_manifests(
-    baseline: Dict[str, Any], candidate: Dict[str, Any], threshold: float = 0.2
-):
-    """What changed between two runs: config exactly, metrics fuzzily.
+def diff_manifests(baseline: Dict[str, Any], candidate: Dict[str, Any]):
+    """What changed between two runs: config exactly, metrics by trend.
 
-    Returns ``(config_changes, comparison)`` where ``config_changes``
-    is a list of ``(dotted_key, baseline_value, candidate_value)``
-    tuples (every leaf compared exactly — a config is identity, not a
-    measurement) and ``comparison`` is the
-    :class:`~repro.obs.compare.ComparisonResult` from diffing the
-    headline metrics through :func:`~repro.obs.compare.compare_bench`
-    with its relative-threshold noise floor.
+    Returns ``(config_changes, series)`` where ``config_changes`` is a
+    list of ``(dotted_key, baseline_value, candidate_value)`` tuples
+    (every leaf compared exactly — a config is identity, not a
+    measurement) and ``series`` holds one two-point
+    :class:`~repro.obs.trend.TrendSeries` per headline metric, gated
+    by :func:`~repro.obs.trend.metric_direction`.  A metric only one
+    side recorded yields a one-point series that never gates.
     """
-    from repro.obs.compare import compare_bench
+    from repro.obs.trend import bench_series
 
     a_flat = _flatten_leaves(baseline.get("config"))
     b_flat = _flatten_leaves(candidate.get("config"))
@@ -401,12 +399,8 @@ def diff_manifests(
         for key in sorted(set(a_flat) | set(b_flat))
         if a_flat.get(key) != b_flat.get(key)
     ]
-    comparison = compare_bench(
-        baseline.get("metrics") or {},
-        candidate.get("metrics") or {},
-        threshold=threshold,
-    )
-    return config_changes, comparison
+    entries = [{"metrics": m.get("metrics") or {}} for m in (baseline, candidate)]
+    return config_changes, bench_series({"entries": entries}, "headline metrics")
 
 
 def _flatten_leaves(doc: Any, prefix: str = "") -> Dict[str, Any]:
@@ -526,9 +520,13 @@ def render_diff(
     baseline: Dict[str, Any],
     candidate: Dict[str, Any],
     config_changes,
-    comparison,
+    series,
+    threshold: float,
 ) -> str:
-    """The ``repro runs diff`` report."""
+    """The ``repro runs diff`` report: config changes, then the
+    headline series through :func:`~repro.obs.trend.render_trend`."""
+    from repro.obs.trend import render_trend
+
     lines = [
         "run diff: {a_seq} · {a_id} ({a_cmd})  vs  "
         "{b_seq} · {b_id} ({b_cmd})".format(
@@ -550,5 +548,5 @@ def render_diff(
                      baseline.get("config_hash") == candidate.get("config_hash")
                      else "  (none)")
     lines.append("")
-    lines.append(comparison.render())
+    lines.append(render_trend(series, threshold=threshold))
     return "\n".join(lines)

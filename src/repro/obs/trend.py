@@ -16,12 +16,11 @@ number, no history, no slope.  This module turns them into
       ]
     }
 
-:func:`load_bench_trajectory` reads both shapes — a legacy flat
-metrics dict migrates into a single-entry trajectory whose git fields
-are ``null`` — and raises :class:`BenchFormatError` on anything else
-(the CLI maps that to exit 2).  :func:`append_bench_entry` appends a
-measurement stamped with the current git SHA/dirty flag and UTC time,
-using the registry's atomic write.
+:func:`load_bench_trajectory` reads that shape and raises
+:class:`BenchFormatError` on anything else (the CLI maps that to exit
+2).  :func:`append_bench_entry` appends a measurement stamped with the
+current git SHA/dirty flag and UTC time, using the registry's atomic
+write.
 
 ``repro trend`` folds trajectories plus the run registry into
 per-metric time series with sparkline/delta tables.  Regression
@@ -29,7 +28,8 @@ gating (``--fail-on-regression``) applies to *bench* series only —
 each metric's direction is inferred from its name
 (:func:`metric_direction`); registry series are report-only because
 wall-clock headlines jitter run to run while bench numbers are
-measured under controlled conditions.
+measured under controlled conditions.  ``repro runs diff`` judges its
+two runs' headline metrics with the same series and direction rule.
 """
 
 from __future__ import annotations
@@ -55,14 +55,14 @@ HIGHER_IS_BETTER = ("per_s", "hit_ratio", "speedup", "throughput")
 #: Substrings marking a metric as smaller-is-better.
 LOWER_IS_BETTER = (
     "seconds", "_s", "latency", "time", "staleness", "rejection", "backhaul",
-    "exploitability",
+    "exploitability", "diag_error", "diag_warning",
 )
 
 SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
 
 class BenchFormatError(ValueError):
-    """A BENCH file that is neither a trajectory nor a legacy snapshot."""
+    """A BENCH file that is not a trajectory document."""
 
 
 def _is_metrics_dict(doc: Any) -> bool:
@@ -75,38 +75,23 @@ def _bench_name(path: str) -> str:
 
 
 def load_bench_trajectory(path: str) -> Dict[str, Any]:
-    """Read a BENCH file, migrating the legacy snapshot shape.
+    """Read a BENCH trajectory document (``schema``/``bench``/``entries``).
 
-    Returns a trajectory document (``schema``/``bench``/``entries``).
-    A legacy flat metrics dict becomes a one-entry trajectory with
-    ``null`` provenance fields.  Anything unreadable or structurally
-    wrong raises :class:`BenchFormatError` with a one-line reason.
+    Anything unreadable or structurally wrong — including a flat
+    metrics dict — raises :class:`BenchFormatError` with a one-line
+    reason.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except (OSError, ValueError) as err:
         raise BenchFormatError(f"cannot read benchmark file {path!r}: {err}")
-    if not isinstance(doc, dict):
+    if not isinstance(doc, dict) or "entries" not in doc:
         raise BenchFormatError(
-            f"benchmark file {path!r} is not a JSON object "
-            f"(got {type(doc).__name__})"
+            f"benchmark file {path!r} is not a trajectory: expected "
+            f'{{"schema": {BENCH_SCHEMA_VERSION}, "entries": '
+            f'[{{"metrics": {{...}}}}, ...]}}'
         )
-    if "entries" not in doc:
-        # Legacy single-snapshot shape: a flat dict of metrics.
-        if not _is_metrics_dict(doc) or not doc:
-            raise BenchFormatError(
-                f"benchmark file {path!r} is neither a trajectory nor a "
-                f"legacy metrics snapshot"
-            )
-        return {
-            "schema": BENCH_SCHEMA_VERSION,
-            "bench": _bench_name(path),
-            "entries": [
-                {"git_sha": None, "dirty": None, "recorded_at": None,
-                 "metrics": doc}
-            ],
-        }
     schema = doc.get("schema")
     if not isinstance(schema, int) or schema > BENCH_SCHEMA_VERSION:
         raise BenchFormatError(
@@ -128,19 +113,14 @@ def load_bench_trajectory(path: str) -> Dict[str, Any]:
     return doc
 
 
-def latest_entry_metrics(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """The newest entry's metrics from a (loaded) trajectory."""
-    return doc["entries"][-1]["metrics"]
-
-
 def append_bench_entry(
     path: str, metrics: Dict[str, Any], bench: Optional[str] = None
 ) -> Dict[str, Any]:
     """Append one measurement to a trajectory file, atomically.
 
-    Creates the file when missing, migrates a legacy snapshot first,
-    stamps the entry with the current git SHA / dirty flag / UTC
-    timestamp, and returns the written document.
+    Creates the file when missing, stamps the entry with the current
+    git SHA / dirty flag / UTC timestamp, and returns the written
+    document.
     """
     if os.path.exists(path):
         doc = load_bench_trajectory(path)
@@ -167,6 +147,23 @@ def append_bench_entry(
 
 
 # -- series + regression analysis -----------------------------------
+
+
+def relative_change(baseline: float, value: float) -> Optional[float]:
+    """``(value - baseline) / |baseline|``; ``inf`` when a zero baseline
+    moved, ``None`` when both are zero."""
+    if baseline == 0:
+        return None if value == 0 else float("inf")
+    return (value - baseline) / abs(baseline)
+
+
+def format_change(rel: Optional[float]) -> str:
+    """A relative change as ``+12.3%``, ``new`` (from zero) or ``-``."""
+    if rel is None:
+        return "-"
+    if rel == float("inf"):
+        return "new"
+    return f"{rel:+.1%}"
 
 
 def metric_direction(name: str) -> Optional[str]:
@@ -201,9 +198,7 @@ class TrendSeries:
         if len(self.values) < 2:
             return None
         baseline = sum(self.values[:-1]) / (len(self.values) - 1)
-        if baseline == 0:
-            return None if self.latest == 0 else float("inf")
-        return (self.latest - baseline) / abs(baseline)
+        return relative_change(baseline, self.latest)
 
     def regressed(self, threshold: float) -> bool:
         if not self.gate or self.direction is None:
@@ -337,19 +332,12 @@ def render_trend(
     for source, group in by_source.items():
         rows = []
         for series in group:
-            rel = series.delta()
-            if rel is None:
-                delta = "-"
-            elif rel == float("inf"):
-                delta = "new"
-            else:
-                delta = f"{rel:+.1%}"
             rows.append(
                 (
                     series.metric,
                     len(series.values),
                     f"{series.latest:.6g}",
-                    delta,
+                    format_change(series.delta()),
                     sparkline(series.values[-16:]),
                     "REGRESSED" if series.regressed(threshold) else "",
                 )

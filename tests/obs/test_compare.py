@@ -5,10 +5,10 @@ import pytest
 from repro.obs.compare import (
     Delta,
     SPAN_NOISE_FLOOR_S,
-    compare_bench,
     compare_runs,
 )
 from repro.obs.report import RunSummary
+from repro.obs.trend import format_change
 
 
 def summary(span_totals=None, metrics=None, diagnostics=None):
@@ -115,33 +115,6 @@ class TestMetricComparison:
         assert delta.candidate == pytest.approx(0.030)
 
 
-class TestBenchComparison:
-    def test_timing_leaf_regression_flagged(self):
-        baseline = {"table2": {"solve_seconds": 1.0, "rows": 5}}
-        candidate = {"table2": {"solve_seconds": 1.5, "rows": 5}}
-        result = compare_bench(baseline, candidate, threshold=0.2)
-        assert result.has_regressions
-        assert "table2.solve_seconds" in result.regressions[0]
-
-    def test_non_timing_leaf_never_regresses(self):
-        baseline = {"throughput": 100.0}
-        candidate = {"throughput": 10.0}
-        result = compare_bench(baseline, candidate)
-        assert not result.has_regressions
-        # ... but the large change is still reported.
-        assert any(d.name == "throughput" for d in result.bench_deltas)
-
-    def test_nested_lists_flatten_by_index(self):
-        baseline = {"runs": [{"wall_s": 1.0}, {"wall_s": 2.0}]}
-        candidate = {"runs": [{"wall_s": 1.0}, {"wall_s": 3.0}]}
-        result = compare_bench(baseline, candidate, threshold=0.2)
-        assert any("runs.1.wall_s" in r for r in result.regressions)
-
-    def test_bools_are_not_compared_as_numbers(self):
-        result = compare_bench({"converged": True}, {"converged": False})
-        assert result.bench_deltas == []
-
-
 class TestRendering:
     def test_render_mentions_regressions(self):
         baseline = summary(span_totals={"solve": (1, 1.0)})
@@ -155,6 +128,6 @@ class TestRendering:
         assert "no regressions beyond thresholds" in text
 
     def test_delta_formatting(self):
-        assert Delta("x", 1.0, 1.5).format_change() == "+50.0%"
-        assert Delta("x", 0.0, 1.0).format_change() == "new"
-        assert Delta("x", None, 1.0).format_change() == "-"
+        assert format_change(Delta("x", 1.0, 1.5).rel_change) == "+50.0%"
+        assert format_change(Delta("x", 0.0, 1.0).rel_change) == "new"
+        assert format_change(Delta("x", None, 1.0).rel_change) == "-"

@@ -19,6 +19,7 @@ from repro.obs.registry import (
     render_manifest,
     render_runs_table,
 )
+from repro.obs.trend import find_regressions
 
 
 def make_manifest(status="ok", eta1=0.002, **overrides):
@@ -229,25 +230,45 @@ class TestIdentityAndDiff:
     def test_diff_flags_exactly_the_changed_key(self):
         a = make_manifest(eta1=0.002)
         b = make_manifest(eta1=0.004)
-        config_changes, comparison = diff_manifests(a, b)
+        config_changes, series = diff_manifests(a, b)
         assert [key for key, _, _ in config_changes] == ["model.eta1"]
         assert config_changes[0][1:] == (0.002, 0.004)
-        text = render_diff(a, b, config_changes, comparison)
+        text = render_diff(a, b, config_changes, series, 0.2)
         assert "config changes (1):" in text
         assert "model.eta1" in text
+        assert "headline metrics (gate ±20%)" in text
 
     def test_diff_identical_configs_is_empty(self):
         a, b = make_manifest(), make_manifest()
         config_changes, _ = diff_manifests(a, b)
         assert config_changes == []
 
-    def test_diff_metrics_use_compare_bench(self):
-        a = make_manifest()
-        b = make_manifest()
-        b["metrics"] = {"exploitability": 1e-3, "requests_per_s": 60.0}
-        _, comparison = diff_manifests(a, b, threshold=0.2)
-        names = [d.name for d in comparison.bench_deltas]
-        assert "requests_per_s" in names
+    @pytest.mark.parametrize("metric, before, after, regressed", [
+        pytest.param("requests_per_s", 100.0, 200.0, False,
+                     id="throughput-doubles"),
+        pytest.param("requests_per_s", 100.0, 50.0, True,
+                     id="throughput-halves"),
+        pytest.param("hit_ratio", 0.84, 0.30, True, id="hit-ratio-drops"),
+        pytest.param("exploitability", 1e-3, 5e-3, True,
+                     id="exploitability-grows"),
+        pytest.param("diag_error", 0.0, 2.0, True, id="new-errors"),
+        pytest.param("diag_warning", 1.0, 3.0, True, id="more-warnings"),
+        pytest.param("diag_error", None, 2.0, False, id="one-sided"),
+    ])
+    def test_diff_metrics_follow_trend_direction(
+        self, metric, before, after, regressed
+    ):
+        def side(value):
+            return make_manifest(
+                metrics={} if value is None else {metric: value}
+            )
+
+        a, b = side(before), side(after)
+        config_changes, series = diff_manifests(a, b)
+        found = find_regressions(series, threshold=0.2)
+        assert bool(found) == regressed
+        assert all(metric in line for line in found)
+        assert metric in render_diff(a, b, config_changes, series, 0.2)
 
 
 class TestRendering:

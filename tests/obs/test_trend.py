@@ -12,7 +12,6 @@ from repro.obs.trend import (
     append_bench_entry,
     bench_series,
     find_regressions,
-    latest_entry_metrics,
     load_bench_trajectory,
     metric_direction,
     registry_series,
@@ -25,13 +24,14 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 COMMITTED_BENCH_FILES = ("BENCH_serve.json", "BENCH_net.json", "BENCH_batch.json")
 
 
-def write_trajectory(path, metric_values, metric="serial_requests_per_s"):
+def write_trajectory(path, metric_values, metric="serial_requests_per_s",
+                     **extra_metrics):
     doc = {
         "schema": BENCH_SCHEMA_VERSION,
         "bench": "serve",
         "entries": [
             {"git_sha": None, "dirty": None, "recorded_at": None,
-             "metrics": {metric: v}}
+             "metrics": {metric: v, **extra_metrics}}
             for v in metric_values
         ],
     }
@@ -47,27 +47,17 @@ class TestLoader:
         assert doc["schema"] == BENCH_SCHEMA_VERSION
         assert doc["bench"] == name[len("BENCH_"):-len(".json")]
         assert doc["entries"], f"{name} should carry at least one entry"
-        metrics = latest_entry_metrics(doc)
+        metrics = doc["entries"][-1]["metrics"]
         assert metrics and all(isinstance(k, str) for k in metrics)
         # And the loaded document survives the loader unchanged.
         assert load_bench_trajectory(str(path)) == doc
-
-    def test_legacy_flat_dict_migrates(self, tmp_path):
-        path = tmp_path / "BENCH_legacy.json"
-        path.write_text(json.dumps({"serial_s": 1.5, "speedup": 4.0}))
-        doc = load_bench_trajectory(str(path))
-        assert doc["schema"] == BENCH_SCHEMA_VERSION
-        assert doc["bench"] == "legacy"
-        assert len(doc["entries"]) == 1
-        entry = doc["entries"][0]
-        assert entry["git_sha"] is None and entry["recorded_at"] is None
-        assert entry["metrics"] == {"serial_s": 1.5, "speedup": 4.0}
 
     @pytest.mark.parametrize("payload", [
         "",                                  # unreadable
         "not json",                          # unreadable
         "[1, 2]",                            # not an object
-        "{}",                                # empty: neither shape
+        "{}",                                # empty: no entries
+        '{"serial_s": 1.5, "speedup": 4.0}',  # flat snapshot, not a trajectory
         '{"schema": 99, "entries": [{}]}',   # future schema
         '{"schema": 1, "entries": []}',      # empty trajectory
         '{"schema": 1, "entries": [42]}',    # entry not an object
@@ -96,12 +86,12 @@ class TestAppend:
         assert [e["metrics"]["serial_s"] for e in on_disk["entries"]] == [1.0, 1.1]
         assert on_disk["entries"][-1]["recorded_at"] is not None
 
-    def test_append_migrates_legacy_snapshot(self, tmp_path):
+    def test_append_rejects_flat_snapshot(self, tmp_path):
         path = tmp_path / "BENCH_old.json"
         path.write_text(json.dumps({"serial_s": 2.0}))
-        doc = append_bench_entry(str(path), {"serial_s": 1.9})
-        assert len(doc["entries"]) == 2
-        assert doc["entries"][0]["metrics"] == {"serial_s": 2.0}
+        with pytest.raises(BenchFormatError, match='"entries"'):
+            append_bench_entry(str(path), {"serial_s": 1.9})
+        assert json.loads(path.read_text()) == {"serial_s": 2.0}
 
 
 class TestDirections:
@@ -116,10 +106,13 @@ class TestDirections:
         assert metric_direction("scalar_s_per_content") == "lower"
         assert metric_direction("mean_staleness") == "lower"
         assert metric_direction("rejection_rate") == "lower"
+        assert metric_direction("diag_error") == "lower"
+        assert metric_direction("diag_warning") == "lower"
 
     def test_unclassified_never_gate(self):
         assert metric_direction("n_contents") is None
         assert metric_direction("requests") is None
+        assert metric_direction("diag_info") is None
 
 
 class TestRegression:
@@ -136,11 +129,25 @@ class TestRegression:
         series = bench_series(load_bench_trajectory(path), "BENCH_serve.json")
         assert find_regressions(series, threshold=0.05) == []
 
+    def test_bools_are_not_compared_as_numbers(self, tmp_path):
+        path = write_trajectory(tmp_path / "BENCH_serve.json",
+                                [100.0, 100.0], converged=True)
+        series = bench_series(load_bench_trajectory(path), "BENCH_serve.json")
+        # Bools are ints in Python but never become series.
+        assert [s.metric for s in series] == ["serial_requests_per_s"]
+
     def test_lower_is_better_increase_regresses(self, tmp_path):
         path = write_trajectory(tmp_path / "BENCH_b.json",
                                 [1.0, 1.0, 1.2], metric="serial_s")
         series = bench_series(load_bench_trajectory(path), "b")
         assert find_regressions(series, threshold=0.05)
+
+    def test_timing_leaf_regression_flagged(self, tmp_path):
+        path = write_trajectory(tmp_path / "BENCH_table2.json",
+                                [1.0, 1.5], metric="solve_seconds", rows=5)
+        series = bench_series(load_bench_trajectory(path), "BENCH_table2.json")
+        (line,) = find_regressions(series, threshold=0.2)
+        assert "solve_seconds" in line
 
     def test_improvement_never_flags(self, tmp_path):
         path = write_trajectory(tmp_path / "BENCH_b.json",

@@ -396,21 +396,13 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(tmp_path / "nope.jsonl")]) == 2
         assert "cannot read telemetry run" in capsys.readouterr().err
 
-    def test_bench_mode_flags_timing_regression(self, tmp_path, capsys):
-        import json
-
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps({"solve_seconds": 1.0, "rows": 4}))
-        b.write_text(json.dumps({"solve_seconds": 2.0, "rows": 4}))
-        assert main(["compare", "--bench", str(a), str(b),
-                     "--fail-on-regression"]) == 1
-        assert "solve_seconds" in capsys.readouterr().out
-
-    def test_bench_mode_bad_json_is_exit_2(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text("{}")
-        b.write_text("not json")
-        assert main(["compare", "--bench", str(a), str(b)]) == 2
+    def test_bench_flag_is_rejected(self, two_runs, capsys):
+        # BENCH trajectories are judged by `repro trend`, not `compare`.
+        a, b = two_runs
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--bench", str(a), str(b)])
+        assert exc.value.code == 2
+        assert "--bench" in capsys.readouterr().err
 
 
 class TestStrictNumerics:

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.obs.registry import RunRegistry, manifest_identity
+from repro.obs.registry import RunRegistry, build_manifest, manifest_identity
 from repro.testing import normalized_events
 
 
@@ -123,6 +123,20 @@ class TestRunsCLI:
         assert main(["runs", "diff", "1", "2", "--fail-on-regression"]) == 0
         assert "config changes (0):" in capsys.readouterr().out
 
+    def test_diff_throughput_gain_passes_gate(self, registry_dir, capsys):
+        registry = RunRegistry(str(registry_dir))
+        for requests_per_s in (100.0, 200.0):
+            registry.append(build_manifest(
+                command="serve", argv=["serve"], config={}, status="ok",
+                exit_code=0, started_at="2026-08-07T12:00:00+00:00",
+                wall_s=1.0, metrics={"requests_per_s": requests_per_s},
+            ))
+        rc = main(["runs", "diff", "1", "2", "--fail-on-regression"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "+100.0%" in out
+        assert "no trend regressions beyond thresholds" in out
+
     def test_corrupt_manifest_warns_but_list_succeeds(self, registry_dir, capsys):
         run_solve()
         (registry_dir / "000002-broken.json").write_bytes(b"\x00garbage")
@@ -206,6 +220,43 @@ class TestTrendCLI:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_timing_regression_fails_gate(self, tmp_path, capsys):
+        bench = write_trajectory(tmp_path / "BENCH_table2.json", [1.0, 2.0],
+                                 metric="solve_seconds")
+        rc = main(["trend", "--bench", bench, "--no-registry",
+                   "--fail-on-regression"])
+        assert rc == 1
+        assert "solve_seconds" in capsys.readouterr().out
+
+    def test_newest_entry_is_the_candidate(self, tmp_path, capsys):
+        # An old spike does not gate; only the newest entry is judged.
+        recovered = write_trajectory(tmp_path / "BENCH_a.json",
+                                     [1.0, 3.0, 1.0], metric="serial_s")
+        assert main(["trend", "--bench", recovered, "--no-registry",
+                     "--fail-on-regression"]) == 0
+        capsys.readouterr()
+        spiked = write_trajectory(tmp_path / "BENCH_b.json",
+                                  [1.0, 1.0, 2.0], metric="serial_s")
+        assert main(["trend", "--bench", spiked, "--no-registry",
+                     "--fail-on-regression"]) == 1
+        assert "REGRESSED" in capsys.readouterr().out
+
+    def test_bad_json_bench_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "BENCH_bad.json"
+        bad.write_text("not json")
+        assert main(["trend", "--bench", str(bad), "--no-registry"]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_flat_snapshot_among_good_benches_exits_2(self, tmp_path, capsys):
+        good = write_trajectory(tmp_path / "BENCH_a.json", [1.0])
+        flat = tmp_path / "BENCH_b.json"
+        flat.write_text(json.dumps({"serial_s": 1.0, "hit_ratio": 0.9}))
+        rc = main(["trend", "--bench", good, "--bench", str(flat),
+                   "--no-registry"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "not a trajectory" in err and '"entries"' in err
+
     def test_registry_runs_feed_trend(self, registry_dir, tmp_path,
                                       monkeypatch, capsys):
         run_solve()
@@ -223,31 +274,6 @@ class TestTrendCLI:
         assert main(["trend", "--bench", bench, "--no-registry",
                      "--metric", "no_such_metric"]) == 0
         assert "no trend series found" in capsys.readouterr().out
-
-
-class TestCompareBenchShapes:
-    def test_mixed_legacy_and_trajectory(self, tmp_path, capsys):
-        legacy = tmp_path / "BENCH_a.json"
-        legacy.write_text(json.dumps({"serial_s": 1.0, "hit_ratio": 0.9}))
-        trajectory = write_trajectory(tmp_path / "BENCH_b.json", [100.0])
-        rc = main(["compare", str(legacy), str(trajectory), "--bench"])
-        assert rc in (0, 1)  # comparison ran; regression verdict irrelevant
-        assert "bench" in capsys.readouterr().out.lower()
-
-    def test_trajectory_uses_newest_entry(self, tmp_path, capsys):
-        a = write_trajectory(tmp_path / "BENCH_a.json", [1.0], metric="serial_s")
-        b = write_trajectory(tmp_path / "BENCH_b.json", [1.0, 2.0],
-                             metric="serial_s")
-        rc = main(["compare", a, b, "--bench", "--fail-on-regression"])
-        assert rc == 1  # the newest entry (2.0) is the candidate
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_malformed_bench_exits_2(self, tmp_path, capsys):
-        good = write_trajectory(tmp_path / "BENCH_a.json", [1.0])
-        bad = tmp_path / "BENCH_b.json"
-        bad.write_text("{not json")
-        assert main(["compare", good, str(bad), "--bench"]) == 2
-        assert "error" in capsys.readouterr().err
 
 
 class TestSideChannelContract:
