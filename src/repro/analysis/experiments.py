@@ -29,6 +29,7 @@ from repro.baselines.udcs import UDCSScheme
 from repro.core.best_response import BestResponseIterator
 from repro.core.equilibrium import EquilibriumResult
 from repro.core.parameters import MFGCPConfig
+from repro.core.solver import fan_out_equilibria
 from repro.game.simulator import GameSimulator, SimulationReport
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
 from repro.runtime import ExecutionPlan, ExecutorLike, as_executor
@@ -123,33 +124,28 @@ def simulate_scheme_seed(
     return summary
 
 
-def _solve_config_item(
-    config: MFGCPConfig, telemetry: SolverTelemetry = NULL_TELEMETRY
-) -> EquilibriumResult:
-    """Work-item body for one sweep variant's equilibrium solve."""
-    return BestResponseIterator(config, telemetry=telemetry).solve()
-
-
 def sweep_equilibria(
     configs: Sequence[MFGCPConfig],
+    labels: Sequence[str],
     executor: ExecutorLike = None,
     telemetry: Optional[SolverTelemetry] = None,
-    labels: Optional[Sequence[str]] = None,
-) -> List[EquilibriumResult]:
+) -> List[Optional[EquilibriumResult]]:
     """Solve independent configuration variants through an executor.
 
     The shared engine behind the Figs. 6-11 parameter sweeps: each
-    variant is one work item, so a sweep parallelises with
-    ``executor="process:4"`` while staying bit-identical to the
-    serial default.
+    variant is one one-lane work item labelled by ``labels``, so a
+    sweep parallelises with ``executor="process:4"`` while staying
+    bit-identical to the serial default.  A variant lost to a
+    skip/degrade fault policy comes back as ``None``.
     """
-    plan = ExecutionPlan.map(
-        _solve_config_item,
-        [(cfg,) for cfg in configs],
-        labels=list(labels) if labels is not None else None,
-        accepts_telemetry=True,
+    solved, _ = fan_out_equilibria(
+        dict(enumerate(configs)),
+        as_executor(executor),
+        telemetry,
+        label=lambda shard: labels[shard[0]],
+        scope="sweep",
     )
-    return as_executor(executor).run(plan, telemetry=telemetry)
+    return [solved.get(i) for i in range(len(configs))]
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +351,8 @@ def fig10_initial_distribution(
     )
     out: Dict[float, Dict[str, np.ndarray]] = {}
     for mean, res in zip(mean_fractions, results):
+        if res is None:  # variant lost to a skip/degrade fault policy
+            continue
         paths = res.population_utility_path()
         out[float(mean)] = {
             "time": res.grid.t,
@@ -391,6 +389,8 @@ def fig11_eta1_timeseries(
     )
     out: Dict[float, Dict[str, np.ndarray]] = {}
     for eta1, res in zip(eta1_values, results):
+        if res is None:  # variant lost to a skip/degrade fault policy
+            continue
         paths = res.population_utility_path()
         out[float(eta1)] = {
             "time": res.grid.t,

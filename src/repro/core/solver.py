@@ -6,12 +6,17 @@ the content set ``K'`` that needs caching, refreshes popularity
 (Def. 1 / Eq. (3)) and timeliness (Def. 2), and invokes the iterative
 best-response scheme (Alg. 2) per content to obtain the equilibrium
 caching strategy and pricing policy.
+
+:func:`fan_out_equilibria` is the one routine that solves independent
+equilibria through the runtime: the epoch loop, both serving engines
+and the figure sweeps submit their solves through it, and every work
+item is a :func:`solve_equilibrium_shard` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,47 +29,91 @@ from repro.core.equilibrium import EquilibriumResult
 from repro.core.knapsack import capacity_constrained_placement
 from repro.core.parameters import MFGCPConfig
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
-from repro.runtime import (
-    Executor,
-    ExecutionPlan,
-    as_executor,
-    live_progress,
-    partition_batches,
-)
+from repro.runtime import Executor, ExecutionPlan, as_executor, partition_batches
 
 
-def _solve_content_item(
-    config: MFGCPConfig, telemetry: SolverTelemetry = NULL_TELEMETRY
-) -> EquilibriumResult:
-    """Work-item body for one per-content equilibrium solve.
-
-    Module-level so it pickles to process-pool workers; the item owns
-    its specialised config and rebuilds the iterator locally (bound
-    methods holding live trackers do not cross process boundaries).
-    """
-    with telemetry.span("content"):
-        return BestResponseIterator(config, telemetry=telemetry).solve()
-
-
-def _solve_content_batch_item(
+def solve_equilibrium_shard(
     content_ids: Sequence[int],
     configs: Sequence[MFGCPConfig],
     telemetry: SolverTelemetry = NULL_TELEMETRY,
 ) -> List[EquilibriumResult]:
-    """Work-item body for one batched shard of content solves.
+    """The work-item body of every equilibrium fan-out.
 
-    ``content_ids`` is the shard's *sorted* content-index tuple and the
-    item's first positional argument, so the checkpoint
-    :func:`~repro.runtime.checkpoint.item_key` hashes it — a batched
-    run's items can never collide with a per-content run's (whose first
-    argument is a config, not an index tuple) nor with a differently
-    sharded batched run.  Returns one equilibrium per content, in
-    ``content_ids`` order.
+    Solves one shard of contents through the batched Alg. 2 sweeps; a
+    per-content solve is the one-lane shard.  Module-level so it
+    pickles to process-pool workers.  ``content_ids`` is the shard's
+    *sorted* content-index tuple: it tags each lane's diagnostics, and
+    as the first positional argument it enters the checkpoint
+    :func:`~repro.runtime.checkpoint.item_key`, so runs sharded at
+    different widths never share a cached object.  Returns one
+    equilibrium per content, in ``content_ids`` order.
     """
-    with telemetry.span("content"):
-        return BatchedBestResponseIterator(
-            configs, content_ids=content_ids, telemetry=telemetry
-        ).solve()
+    return BatchedBestResponseIterator(
+        configs, content_ids=content_ids, telemetry=telemetry
+    ).solve()
+
+
+def fan_out_equilibria(
+    configs: Mapping[int, MFGCPConfig],
+    executor: Executor,
+    telemetry: Optional[SolverTelemetry] = None,
+    *,
+    label: Callable[[Tuple[int, ...]], str],
+    scope: str,
+    width: int = 1,
+    phase: Optional[str] = None,
+    **fields,
+) -> Tuple[Dict[int, EquilibriumResult], List[int]]:
+    """Solve independent equilibria as one execution plan.
+
+    ``configs`` maps content id to config in the caller's order.  The
+    ids shard into contiguous groups of at most ``width`` (each group
+    sorted, so the item key hashes a canonical tuple); every shard is
+    one :func:`solve_equilibrium_shard` item labelled ``label(shard)``,
+    run through :meth:`~repro.runtime.Executor.run` on ``executor``.
+    ``phase`` names the live-status phase, when one is wanted.
+
+    Returns the surviving equilibria by content id, in plan order, and
+    the ids of the contents whose shard a skip/degrade fault policy
+    dropped.  Those contents are omitted and reported once, as a
+    ``{scope}.content_dropped`` warning carrying ``fields``.
+    """
+    tele = telemetry if telemetry is not None else NULL_TELEMETRY
+    ids = list(configs)
+    shards = [
+        tuple(sorted(ids[i] for i in group))
+        for group in partition_batches(len(ids), width)
+    ]
+    plan = ExecutionPlan.map(
+        solve_equilibrium_shard,
+        [(shard, tuple(configs[k] for k in shard)) for shard in shards],
+        labels=[label(shard) for shard in shards],
+        accepts_telemetry=True,
+    )
+    if phase is not None and tele.live is not None:
+        tele.live.set_phase(phase, total_items=len(plan))
+    solved: Dict[int, EquilibriumResult] = {}
+    dropped: List[int] = []
+    for shard, results in zip(shards, executor.run(plan, telemetry=tele)):
+        if results is None:
+            # The fault policy exhausted this item's retries; the caller
+            # carries on with the survivors (graceful degradation).
+            dropped.extend(shard)
+        else:
+            solved.update(zip(shard, results))
+    if dropped and tele.enabled:
+        tele.diag(
+            f"{scope}.content_dropped",
+            "warning",
+            value=float(len(dropped)),
+            message=(
+                f"{len(dropped)} of {len(ids)} content solves were dropped "
+                "by the fault policy after exhausting retries"
+            ),
+            contents=dropped,
+            **fields,
+        )
+    return solved, dropped
 
 
 @dataclass(frozen=True)
@@ -213,14 +262,13 @@ class MFGCPSolver:
             Optional cap on ``|K'|`` (most popular first) — the paper
             notes the Zipf law keeps the effective content set small.
         solver_batching:
-            Solve the epoch's contents through the batched tensor
-            pipeline: the active set shards into index groups of at
-            most ``batch_size`` contents, and each shard is one work
-            item advancing all its lanes through shared
-            ``(B, n_h, n_q)`` HJB/FPK sweeps.  Equilibria are
-            bit-identical to the per-content path; only the work-item
-            grain (and hence the telemetry lane labels and checkpoint
-            item keys) changes.
+            Shard the active set into work items of at most
+            ``batch_size`` contents, each advancing all its lanes
+            through shared ``(B, n_h, n_q)`` HJB/FPK sweeps; without
+            it every content is a one-lane shard.  Equilibria are
+            bit-identical either way; only the work-item grain (and
+            hence the telemetry lane labels and checkpoint item keys)
+            changes.
         batch_size:
             Maximum lane count per batched shard — bounds the
             ``B * n_h * n_q`` working set.  Ignored unless
@@ -270,13 +318,8 @@ class MFGCPSolver:
 
                 # Lines 6-10: per-content mean-field best response.
                 # The equilibria decouple through the mean field, so
-                # the solves fan out as one execution plan; the
-                # configured backend (serial or process pool) returns
-                # outcomes in content order either way.  With
-                # ``solver_batching`` each work item is one shard of
-                # contents solved through shared batched sweeps; the
-                # seed lineage and ordered telemetry merge are
-                # unchanged, only the item grain widens.
+                # the solves fan out as one execution plan: shards of
+                # at most ``batch_size`` contents, or one-lane shards.
                 configs = {
                     k: self.per_content_config(
                         content_size=catalog[k].size_mb,
@@ -286,92 +329,34 @@ class MFGCPSolver:
                     )
                     for k in active
                 }
-                if solver_batching:
-                    # Shard content *ids* sorted ascending so the item
-                    # key hashes a canonical tuple (checkpoint resume
-                    # is insensitive to the popularity ordering).
-                    shards = [
-                        tuple(sorted(active[i] for i in group))
-                        for group in partition_batches(len(active), batch_size)
-                    ]
-                    plan = ExecutionPlan.map(
-                        _solve_content_batch_item,
-                        [
-                            (shard, tuple(configs[k] for k in shard))
-                            for shard in shards
-                        ],
-                        labels=[
-                            f"batch:{shard[0]}-{shard[-1]}" for shard in shards
-                        ],
-                        accepts_telemetry=True,
-                    )
-                else:
-                    shards = [(k,) for k in active]
-                    plan = ExecutionPlan.map(
-                        _solve_content_item,
-                        [(configs[k],) for k in active],
-                        labels=[f"content:{k}" for k in active],
-                        accepts_telemetry=True,
-                    )
-                if tele.live is not None:
-                    tele.live.set_phase(
-                        f"epoch:{epoch}", total_items=len(plan)
-                    )
-                outcomes = self.executor.execute(
-                    plan,
-                    capture=tele.enabled,
-                    profile=tele.profile,
-                    strict_numerics=tele.strict_numerics,
-                    progress=live_progress(plan, tele),
+                equilibria, _ = fan_out_equilibria(
+                    configs,
+                    self.executor,
+                    tele,
+                    label=(
+                        (lambda shard: f"batch:{shard[0]}-{shard[-1]}")
+                        if solver_batching
+                        else (lambda shard: f"content:{shard[0]}")
+                    ),
+                    scope="epoch",
+                    width=batch_size if solver_batching else 1,
+                    phase=f"epoch:{epoch}",
+                    epoch=epoch,
                 )
-                equilibria: Dict[int, EquilibriumResult] = {}
                 unconverged: List[int] = []
-                dropped: List[int] = []
-                for shard, outcome in zip(shards, outcomes):
-                    tele.absorb(outcome.telemetry, lane=plan[outcome.index].label)
-                    if outcome.result is None:
-                        # A skip/degrade fault policy exhausted this
-                        # item's retries; the epoch carries on with
-                        # the survivors (graceful degradation).  A
-                        # batched item drops its whole shard.
-                        dropped.extend(int(k) for k in shard)
-                        continue
-                    shard_results = (
-                        outcome.result if solver_batching else [outcome.result]
-                    )
-                    solve_s = (
-                        outcome.telemetry.span_seconds("content")
-                        if outcome.telemetry is not None
-                        else 0.0
-                    )
-                    for k, result in zip(shard, shard_results):
-                        equilibria[k] = result
-                        if not result.report.converged:
-                            unconverged.append(int(k))
-                        if tele.enabled:
-                            tele.inc("epochs.content_solves")
-                            tele.event(
-                                "content_solve",
-                                epoch=epoch,
-                                content=int(k),
-                                popularity=float(popularity[k]),
-                                n_iterations=result.report.n_iterations,
-                                converged=result.report.converged,
-                                solve_s=solve_s,
-                            )
-                if dropped and tele.enabled:
-                    tele.diag(
-                        "epoch.content_dropped",
-                        "warning",
-                        value=float(len(dropped)),
-                        message=(
-                            f"{len(dropped)} of {len(active)} content solves "
-                            "were dropped by the fault policy after "
-                            "exhausting retries"
-                        ),
-                        epoch=epoch,
-                        contents=dropped,
-                    )
+                for k, result in equilibria.items():
+                    if not result.report.converged:
+                        unconverged.append(k)
+                    if tele.enabled:
+                        tele.inc("epochs.content_solves")
+                        tele.event(
+                            "content_solve",
+                            epoch=epoch,
+                            content=k,
+                            popularity=float(popularity[k]),
+                            n_iterations=result.report.n_iterations,
+                            converged=result.report.converged,
+                        )
                 if unconverged and tele.enabled:
                     tele.diag(
                         "epoch.unconverged",

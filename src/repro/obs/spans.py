@@ -231,9 +231,9 @@ class SpanRecorder:
 
         ``root`` is the (nameless) root of a worker recorder; its
         children become children of whatever span is open here — e.g.
-        a per-content ``content/solve/...`` subtree recorded in a
+        an equilibrium shard's ``solve/...`` subtree recorded in a
         worker grafts under the parent's live ``epoch`` span, giving
-        the same ``epoch/content/solve`` paths a serial in-process run
+        the same ``epoch/solve`` paths a serial in-process run
         produces.
         """
         for name, child in root.children.items():

@@ -119,11 +119,6 @@ class TelemetrySnapshot:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     spans: SpanNode = field(default_factory=lambda: SpanNode(""))
 
-    def span_seconds(self, name: str) -> float:
-        """Total seconds of a top-level span in this snapshot."""
-        node = self.spans.children.get(name)
-        return node.total_s if node is not None else 0.0
-
 
 class SolverTelemetry:
     """Observer handed to solvers, simulators, and experiment drivers.

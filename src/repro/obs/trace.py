@@ -15,7 +15,7 @@ rebuilds a timeline from what the stream does guarantee:
 * ``span`` events are emitted at span *exit*, in post-order — every
   child closes before its parent, and siblings close in execution
   order;
-* each event carries its full path (``epoch/content/solve/hjb``) and
+* each event carries its full path (``epoch/solve/iteration/hjb``) and
   measured duration;
 * events absorbed from runtime work items carry a ``lane`` field (the
   work-item label, e.g. ``content:3``).

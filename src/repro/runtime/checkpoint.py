@@ -79,13 +79,12 @@ def item_key(item: WorkItem) -> str:
     change produces a different key, so a stale checkpoint can never
     shadow fresh work.
 
-    Batched solver items rely on the argument payload for resume
-    safety: their first positional argument is the shard's *sorted*
+    Equilibrium items rely on the argument payload for resume safety:
+    their first positional argument is the shard's *sorted*
     content-index tuple (see
-    :func:`repro.core.solver._solve_content_batch_item`), so a batched
-    run's keys can never collide with a per-content run's (whose first
-    argument is a config object) nor with a run sharded at a different
-    ``batch_size`` — ``--resume`` across a grain change recomputes
+    :func:`repro.core.solver.solve_equilibrium_shard`; a per-content
+    item is the one-lane tuple), so runs sharded at different widths
+    never share a key — ``--resume`` across a grain change recomputes
     rather than replaying the wrong cached result.
     """
     seed = None

@@ -41,22 +41,16 @@ import hashlib
 import os
 import pickle
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.content.workloads import Workload
-from repro.core.best_response import BatchedBestResponseIterator, BestResponseIterator
 from repro.core.equilibrium import EquilibriumResult
 from repro.core.parameters import MFGCPConfig
+from repro.core.solver import fan_out_equilibria
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
-from repro.runtime import (
-    ExecutionPlan,
-    ExecutorLike,
-    as_executor,
-    partition_batches,
-    partition_indices,
-)
+from repro.runtime import ExecutionPlan, ExecutorLike, as_executor, partition_indices
 from repro.runtime.checkpoint import atomic_write_bytes
 from repro.serve.cache import EdgeCache
 from repro.serve.policies import ServingPolicy, make_policy
@@ -513,36 +507,10 @@ def set_live_stream(live, stream: RequestStream, chunk_slots: int) -> None:
     )
 
 
-def _solve_content(
-    config: MFGCPConfig, telemetry: SolverTelemetry = NULL_TELEMETRY
-) -> EquilibriumResult:
-    """Solve one content's equilibrium (ExecutionPlan work item)."""
-    return BestResponseIterator(config, telemetry=telemetry).solve()
-
-
-def _solve_content_batch(
-    content_ids: Sequence[int],
-    configs: Sequence[MFGCPConfig],
-    telemetry: SolverTelemetry = NULL_TELEMETRY,
-) -> List[EquilibriumResult]:
-    """Solve one shard of content equilibria through the batched sweeps.
-
-    ``content_ids`` (sorted) leads the argument tuple so checkpoint
-    item keys distinguish batched shards from per-content items.
-    """
-    return BatchedBestResponseIterator(
-        configs, content_ids=content_ids, telemetry=telemetry
-    ).solve()
-
-
 def equilibrium_configs(
-    config: MFGCPConfig,
-    popularity: Sequence[float],
-    sizes_mb: Sequence[float],
-    rate_per_edp: float,
-    timeliness_mean: float,
-) -> List[MFGCPConfig]:
-    """One solver config per content, specialised to its demand share.
+    config: MFGCPConfig, workload: Workload, stream: RequestStream
+) -> Dict[int, MFGCPConfig]:
+    """One solver config per content id, specialised to its demand share.
 
     Each content gets the base config specialised to its popularity
     share, size, and expected per-EDP request rate — the same
@@ -550,71 +518,29 @@ def equilibrium_configs(
     by :class:`ServingEngine` and the network replay engine so both
     planes solve identical equilibria for identical workloads.
     """
-    if len(sizes_mb) != len(popularity):
-        raise ValueError(
-            f"{len(sizes_mb)} sizes for {len(popularity)} popularity values"
-        )
-    return [
-        replace(
+    model = workload.timeliness_model
+    timeliness = float(min(model.mean(), model.l_max))
+    return {
+        k: replace(
             config,
             popularity=float(np.clip(p, 0.0, 1.0)),
-            content_size=float(sizes_mb[k]),
-            n_requests=float(rate_per_edp) * float(p),
-            timeliness=float(timeliness_mean),
+            content_size=float(workload.catalog[k].size_mb),
+            n_requests=float(stream.rate_per_edp) * float(p),
+            timeliness=timeliness,
         )
-        for k, p in enumerate(popularity)
-    ]
+        for k, p in enumerate(stream.popularity)
+    }
 
 
-def solve_equilibrium_map(
-    configs: Sequence[MFGCPConfig],
-    *,
-    executor: ExecutorLike = None,
-    telemetry: SolverTelemetry = NULL_TELEMETRY,
-    solver_batching: bool = False,
-    batch_size: int = 32,
-    label_prefix: str = "serve_eq",
-    span: str = "serve_solve_equilibria",
-) -> Dict[int, EquilibriumResult]:
-    """Solve per-content equilibria through the runtime (content → result).
+def equilibrium_label(prefix: str, width: int) -> Callable[[Tuple[int, ...]], str]:
+    """Item labels of a replay's equilibrium plan.
 
-    Fans the solves out as one :class:`~repro.runtime.ExecutionPlan`
-    (per-content items, or one batched item per shard of at most
-    ``batch_size`` contents when ``solver_batching`` is set); either
-    path returns bit-identical equilibria.
+    ``{prefix}:content{k}`` for one-lane shards, ``{prefix}:batch{a}-{b}``
+    for batched shards of ``width`` lanes.
     """
-    if solver_batching and batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    runner = as_executor(executor)
-    if solver_batching:
-        shards = partition_batches(len(configs), batch_size)
-        plan = ExecutionPlan.map(
-            _solve_content_batch,
-            [(shard, tuple(configs[k] for k in shard)) for shard in shards],
-            labels=[
-                f"{label_prefix}:batch{shard[0]}-{shard[-1]}"
-                for shard in shards
-            ],
-            accepts_telemetry=True,
-        )
-    else:
-        plan = ExecutionPlan.map(
-            _solve_content,
-            [(cfg,) for cfg in configs],
-            labels=[f"{label_prefix}:content{k}" for k in range(len(configs))],
-            accepts_telemetry=True,
-        )
-    if telemetry.live is not None:
-        telemetry.live.set_phase(f"{label_prefix}:solve", total_items=len(plan))
-    with telemetry.span(span):
-        results = runner.run(plan, telemetry=telemetry)
-    if solver_batching:
-        return {
-            int(k): res
-            for shard, shard_results in zip(shards, results)
-            for k, res in zip(shard, shard_results)
-        }
-    return dict(enumerate(results))
+    if width == 1:
+        return lambda shard: f"{prefix}:content{shard[0]}"
+    return lambda shard: f"{prefix}:batch{shard[0]}-{shard[-1]}"
 
 
 class ServingEngine:
@@ -743,26 +669,22 @@ class ServingEngine:
         Each content gets the engine config specialised to its
         popularity share, size, and expected per-EDP request rate —
         the same per-content independence the Alg. 1 epoch loop
-        exploits, fanned out through the runtime.
+        exploits, fanned out through
+        :func:`~repro.core.solver.fan_out_equilibria`.  Contents a
+        skip/degrade fault policy dropped are missing from the map.
         """
         if self._equilibria is None:
-            configs = equilibrium_configs(
-                self.config,
-                self.stream.popularity,
-                self.sizes_mb,
-                self.stream.rate_per_edp,
-                min(
-                    self.workload.timeliness_model.mean(),
-                    self.workload.timeliness_model.l_max,
-                ),
-            )
-            self._equilibria = solve_equilibrium_map(
-                configs,
-                executor=self.executor,
-                telemetry=self.telemetry,
-                solver_batching=self.solver_batching,
-                batch_size=self.batch_size,
-            )
+            width = self.batch_size if self.solver_batching else 1
+            with self.telemetry.span("serve_solve_equilibria"):
+                self._equilibria, _ = fan_out_equilibria(
+                    equilibrium_configs(self.config, self.workload, self.stream),
+                    self.executor,
+                    self.telemetry,
+                    label=equilibrium_label("serve_eq", width),
+                    scope="serve",
+                    width=width,
+                    phase="serve_eq:solve",
+                )
         return self._equilibria
 
     # ------------------------------------------------------------------
@@ -795,11 +717,9 @@ class ServingEngine:
         come from serving outcomes, not from different markets.
         """
         n_slots, k = self.stream.n_slots, self.stream.n_contents
-        if self._equilibria is None:
-            return np.full((n_slots, k), float(self.config.p_hat))
         slot_times = self.stream.slot_times()
-        price = np.empty((n_slots, k))
-        for idx, eq in self._equilibria.items():
+        price = np.full((n_slots, k), float(self.config.p_hat))
+        for idx, eq in (self._equilibria or {}).items():
             t_eq = slot_times / self.stream.horizon * eq.config.horizon
             price[:, idx] = np.interp(t_eq, eq.grid.t, eq.mean_field.price)
         return price

@@ -56,13 +56,14 @@ import numpy as np
 from repro.content.workloads import Workload
 from repro.core.equilibrium import EquilibriumResult
 from repro.core.parameters import MFGCPConfig
+from repro.core.solver import fan_out_equilibria
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
 from repro.runtime import ExecutionPlan, ExecutorLike, as_executor, partition_indices
 from repro.serve.cache import CacheEntry, EdgeCache
 from repro.serve.engine import (
     equilibrium_configs,
+    equilibrium_label,
     set_live_stream,
-    solve_equilibrium_map,
 )
 from repro.serve.net.queue import AdmissionQueue
 from repro.serve.net.report import (
@@ -632,28 +633,21 @@ class NetworkReplayEngine:
 
         Uses the exact helpers :class:`~repro.serve.engine.ServingEngine`
         uses, so a network replay and a single-cache replay of the same
-        workload read the same equilibrium.
+        workload read the same equilibrium.  Contents a skip/degrade
+        fault policy dropped are missing from the map.
         """
         if self._equilibria is None:
-            configs = equilibrium_configs(
-                self.config,
-                self.stream.popularity,
-                self.sizes_mb,
-                self.stream.rate_per_edp,
-                min(
-                    self.workload.timeliness_model.mean(),
-                    self.workload.timeliness_model.l_max,
-                ),
-            )
-            self._equilibria = solve_equilibrium_map(
-                configs,
-                executor=self.executor,
-                telemetry=self.telemetry,
-                solver_batching=self.solver_batching,
-                batch_size=self.batch_size,
-                label_prefix="net_eq",
-                span="net_solve_equilibria",
-            )
+            width = self.batch_size if self.solver_batching else 1
+            with self.telemetry.span("net_solve_equilibria"):
+                self._equilibria, _ = fan_out_equilibria(
+                    equilibrium_configs(self.config, self.workload, self.stream),
+                    self.executor,
+                    self.telemetry,
+                    label=equilibrium_label("net_eq", width),
+                    scope="net",
+                    width=width,
+                    phase="net_eq:solve",
+                )
         return self._equilibria
 
     # ------------------------------------------------------------------

@@ -123,6 +123,19 @@ class TestAblationHarnesses:
             assert q_rmse >= 0.0
             assert p_rmse >= 0.0
 
+    def test_meanfield_gap_shrinks_with_population(self):
+        # Sec. III-B: the N-player population tracks the mean field
+        # better as N grows.  Eight seeds per N average out the
+        # sampling noise; three leave q-RMSE non-monotone for some
+        # root seeds, eight hold it for every root seed 0, 4, ..., 36.
+        rows = experiments.ablation_meanfield_gap(
+            population_sizes=(10, 40, 160), config=MFGCPConfig.fast(), n_seeds=8
+        )
+        q_rmse = [row[1] for row in rows]
+        p_rmse = [row[2] for row in rows]
+        assert q_rmse[0] > q_rmse[1] > q_rmse[2]
+        assert p_rmse[0] > p_rmse[1] > p_rmse[2]
+
     def test_exploitability_rows(self, tiny_config):
         rows = experiments.ablation_exploitability(
             population_sizes=(8,),

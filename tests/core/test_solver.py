@@ -7,6 +7,7 @@ from repro.content.catalog import ContentCatalog
 from repro.content.requests import RequestProcess
 from repro.content.timeliness import TimelinessModel
 from repro.core.solver import MFGCPSolver
+from repro.obs.telemetry import SolverTelemetry
 
 
 class TestSingleContentSolve:
@@ -99,6 +100,21 @@ class TestEpochLoop:
             MFGCPSolver(fast_config).run_epochs(
                 catalog, requests, max_active_contents=cap
             )
+
+    def test_per_content_lanes_tag_their_own_content(self, fast_config):
+        # Each per-content item's diag.* events must name that item's
+        # content, so a numerics failure in content 3 says "content 3".
+        catalog, requests = self.make_inputs(n_contents=4)
+        telemetry = SolverTelemetry.buffered()
+        (epoch,) = MFGCPSolver(fast_config, telemetry=telemetry).run_epochs(
+            catalog, requests, n_epochs=1
+        )
+        assert sorted(epoch.active_contents) == [0, 1, 2, 3]
+        tagged = {}
+        for event in telemetry.sink.events:
+            if event["ev"].startswith("diag.") and "lane" in event:
+                tagged.setdefault(event["lane"], set()).add(event["content"])
+        assert tagged == {f"content:{k}": {k} for k in range(4)}
 
 
 class TestEpochCapacityAllocation:

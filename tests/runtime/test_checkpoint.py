@@ -2,6 +2,7 @@
 
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,37 +63,26 @@ class TestItemKey:
 
 
 class TestBatchedItemKeys:
-    """Batched solver items hash their sorted content-index tuple.
+    """Equilibrium items hash their sorted content-index tuple.
 
-    A batched run's checkpoint keys must never collide with a
-    per-content run's (or with a differently sharded batched run), so
-    ``--resume`` across a grain change recomputes instead of replaying
-    the wrong cached object.
+    Every equilibrium item is a :func:`solve_equilibrium_shard` call
+    whose first argument is the shard's content ids, so items of
+    different contents, or of runs sharded at different widths, never
+    share a key: ``--resume`` across a width change recomputes instead
+    of replaying the wrong cached object.
     """
 
     def _batched_item(self, content_ids, index=0):
         from repro.core.parameters import MFGCPConfig
-        from repro.core.solver import _solve_content_batch_item
+        from repro.core.solver import solve_equilibrium_shard
 
         shard = tuple(sorted(content_ids))
         configs = tuple(MFGCPConfig.fast() for _ in shard)
         return WorkItem(
             index=index,
-            fn=_solve_content_batch_item,
+            fn=solve_equilibrium_shard,
             args=(shard, configs),
             label=f"batch:{shard[0]}-{shard[-1]}",
-            accepts_telemetry=True,
-        )
-
-    def _scalar_item(self, content_id, index=0):
-        from repro.core.parameters import MFGCPConfig
-        from repro.core.solver import _solve_content_item
-
-        return WorkItem(
-            index=index,
-            fn=_solve_content_item,
-            args=(MFGCPConfig.fast(),),
-            label=f"content:{content_id}",
             accepts_telemetry=True,
         )
 
@@ -101,10 +91,48 @@ class TestBatchedItemKeys:
             self._batched_item([0, 1, 2])
         )
 
-    def test_batched_never_collides_with_per_content(self):
-        batched = item_key(self._batched_item([0]))
-        scalar = item_key(self._scalar_item(0))
-        assert batched != scalar
+    def test_one_lane_key_hashes_the_content_id(self):
+        # Same config, position and label: only the content id differs.
+        first = self._batched_item([0])
+        other = self._batched_item([1])
+        assert item_key(first) != item_key(replace(other, label=first.label))
+
+    def test_width_change_recomputes_bit_identically(self, tmp_path):
+        # Checkpointed at width 1, resumed at width 4: no shard is
+        # served from the store, and the recomputed equilibria match.
+        from repro.core.parameters import MFGCPConfig
+        from repro.core.solver import fan_out_equilibria
+        from repro.obs.telemetry import SolverTelemetry
+        from repro.runtime import ResumableExecutor, SerialExecutor
+
+        base = MFGCPConfig.fast()
+        configs = {k: replace(base, content_size=60.0 + 20.0 * k) for k in range(4)}
+
+        def solve(width):
+            telemetry = SolverTelemetry.buffered()
+            executor = ResumableExecutor(
+                SerialExecutor(), store=CheckpointStore(tmp_path),
+                telemetry=telemetry,
+            )
+            solved, dropped = fan_out_equilibria(
+                configs, executor, telemetry,
+                label=lambda shard: f"batch:{shard[0]}-{shard[-1]}",
+                scope="epoch", width=width,
+            )
+            assert dropped == []
+            events = telemetry.sink.events
+            return solved, sum(e["ev"] == "item.cached" for e in events)
+
+        narrow, _ = solve(1)
+        assert solve(1)[1] == 4  # the store does serve a same-width rerun
+        wide, cached = solve(4)
+        assert cached == 0
+        for k in configs:
+            for attr in ("value", "density"):
+                assert np.array_equal(
+                    getattr(wide[k], attr), getattr(narrow[k], attr)
+                )
+            assert np.array_equal(wide[k].policy.table, narrow[k].policy.table)
 
     def test_different_shards_have_different_keys(self):
         assert item_key(self._batched_item([0, 1])) != item_key(
@@ -247,7 +275,7 @@ class TestCorruption:
         from dataclasses import replace
 
         from repro.core.parameters import MFGCPConfig
-        from repro.core.solver import _solve_content_batch_item
+        from repro.core.solver import solve_equilibrium_shard
 
         cfg = replace(
             MFGCPConfig.fast(), n_time_steps=10, n_h=5, n_q=9, max_iterations=3
@@ -255,14 +283,14 @@ class TestCorruption:
         shard = (0, 1)
         item = WorkItem(
             index=0,
-            fn=_solve_content_batch_item,
+            fn=solve_equilibrium_shard,
             args=(shard, (cfg, replace(cfg, content_size=8.0))),
             label="batch:0-1",
             accepts_telemetry=True,
         )
         sibling = WorkItem(
             index=1,
-            fn=_solve_content_batch_item,
+            fn=solve_equilibrium_shard,
             args=((2, 3), (cfg, cfg)),
             label="batch:2-3",
             accepts_telemetry=True,

@@ -8,14 +8,21 @@ streams.
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
-from repro.content.workloads import video_marketplace
+from repro.content.workloads import video_marketplace, zipf_workload
 from repro.obs.telemetry import SolverTelemetry
-from repro.runtime import ParallelExecutor, SerialExecutor
+from repro.runtime import (
+    FaultPolicy,
+    ParallelExecutor,
+    ResumableExecutor,
+    SerialExecutor,
+)
 from repro.serve import ReplaySpec, ServingEngine, replay_shard, workload_stream
+from repro.testing import clear_faults, install_faults
 
 BACKENDS = {"serial": SerialExecutor, "process": lambda: ParallelExecutor(workers=2)}
 
@@ -221,6 +228,40 @@ class TestEngineValidation:
     def test_rejects_unknown_policy(self, engine):
         with pytest.raises(ValueError, match="unknown serving policy"):
             engine.replay("fifo")
+
+
+class TestDroppedEquilibria:
+    """A skip fault policy drops equilibrium items; the engine carries on."""
+
+    @pytest.mark.parametrize(
+        "batching, dropped", [(False, [1]), (True, [2, 3])],
+        ids=["per-content", "batched"],
+    )
+    def test_dropped_contents_are_omitted_and_named(self, batching, dropped):
+        workload = zipf_workload(n_contents=4)
+        buffer = io.StringIO()
+        engine = ServingEngine(
+            workload, n_edps=2, stream=canned(workload, 2),
+            executor=ResumableExecutor(
+                SerialExecutor(),
+                policy=FaultPolicy(max_retries=0, on_exhaust="skip"),
+            ),
+            telemetry=SolverTelemetry.to_jsonl(buffer),
+            solver_batching=batching, batch_size=2,
+        )
+        install_faults("raise:item=1,times=-1")
+        try:
+            solved = engine.solve_equilibria()
+        finally:
+            clear_faults()
+        assert sorted(solved) == sorted(set(range(4)) - set(dropped))
+        warnings = [
+            event for event in normalised_events(buffer)
+            if event["ev"] == "diag.serve.content_dropped"
+        ]
+        assert [w["contents"] for w in warnings] == [dropped]
+        with pytest.raises(ValueError, match=re.escape(f"contents {dropped}")):
+            engine.replay("mfg")
 
 
 class TestLiveStatusIntegration:
