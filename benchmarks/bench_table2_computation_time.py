@@ -14,8 +14,10 @@ K-content equilibrium solve itself, one work item per content (each a
 one-lane batch) vs one batched tensor sweep over the whole catalog.
 Both run the same batched solver, so the comparison measures the item
 grain; the recorded ``scalar_*`` keys keep their names for trend
-continuity and time the per-content items.  Run as a module to record
-that comparison as JSON for CI trending::
+continuity and time the per-content items.  ``epoch_s_w{1,16,64}``
+time the same epoch at shard widths 1, 16 and 64, the per-width
+series of the solver's own cost.  Run as a module to record that
+comparison as JSON for CI trending::
 
     PYTHONPATH=src python benchmarks/bench_table2_computation_time.py BENCH_batch.json
 """
@@ -43,6 +45,10 @@ BATCH_CATALOG = 64
 """Catalog size for the per-content vs batched wall-clock comparison —
 small enough to keep the committed baseline cheap to regenerate,
 large enough that the batched sweep's advantage is unambiguous."""
+
+EPOCH_WIDTHS = (1, 16, BATCH_CATALOG)
+"""Shard widths of the ``epoch_s`` series: per-content items, four
+shards, one shard."""
 
 
 def test_table2_computation_time(benchmark, bench_telemetry, bench_executor):
@@ -95,7 +101,7 @@ def _equilibria_fingerprint(results):
     return out
 
 
-def _mfgcp_epoch(solver_batching=False):
+def _mfgcp_epoch(width=1):
     """One MFG-CP epoch over a ``BATCH_CATALOG``-content catalog.
 
     Inputs are rebuilt per call so the per-content and batched runs consume
@@ -120,30 +126,33 @@ def _mfgcp_epoch(solver_batching=False):
         catalog,
         requests,
         n_epochs=1,
-        solver_batching=solver_batching,
-        batch_size=BATCH_CATALOG,
+        solver_batching=width > 1,
+        batch_size=width,
     )
     return results, time.perf_counter() - t0
 
 
 def measure_batched():
-    """Per-content vs batched epoch wall-clock, with the bit-identity check."""
-    scalar_results, scalar_s = _mfgcp_epoch()
-    batched_results, batched_s = _mfgcp_epoch(solver_batching=True)
+    """Epoch wall-clock per shard width, with the bit-identity check."""
+    runs = {width: _mfgcp_epoch(width) for width in EPOCH_WIDTHS}
+    scalar_results, scalar_s = runs[1]
+    batched_s = runs[BATCH_CATALOG][1]
 
     scalar_fp = _equilibria_fingerprint(scalar_results)
-    batched_fp = _equilibria_fingerprint(batched_results)
-    assert scalar_fp.keys() == batched_fp.keys()
-    for key in scalar_fp:
-        assert np.array_equal(scalar_fp[key], batched_fp[key]), (
-            f"{key} differs between per-content items and batched shards"
-        )
+    for width, (results, _) in runs.items():
+        fp = _equilibria_fingerprint(results)
+        assert scalar_fp.keys() == fp.keys()
+        for key in scalar_fp:
+            assert np.array_equal(scalar_fp[key], fp[key]), (
+                f"{key} differs between per-content items and "
+                f"{width}-wide shards"
+            )
 
     n_active = len(scalar_results[0].active_contents)
     assert n_active == BATCH_CATALOG, (
         f"expected the whole catalog active, got {n_active}"
     )
-    return {
+    record = {
         "n_contents": BATCH_CATALOG,
         "n_active": n_active,
         "batch_size": BATCH_CATALOG,
@@ -153,6 +162,9 @@ def measure_batched():
         "batched_s": batched_s,
         "speedup": scalar_s / batched_s if batched_s > 0 else float("inf"),
     }
+    for width, (_, seconds) in runs.items():
+        record[f"epoch_s_w{width}"] = seconds
+    return record
 
 
 def test_batched_epoch_computation_time(benchmark):
@@ -169,6 +181,11 @@ def test_batched_epoch_computation_time(benchmark):
                 "per-content items",
                 record["scalar_s"],
                 record["scalar_s_per_content"],
+            ),
+            (
+                "batched (4 shards)",
+                record["epoch_s_w16"],
+                record["epoch_s_w16"] / record["n_contents"],
             ),
             (
                 "batched (1 shard)",
@@ -193,8 +210,8 @@ if __name__ == "__main__":
     out_path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_batch.json"
     record = measure_batched()
     doc = append_bench_entry(out_path, record, bench="batch")
-    print(
-        f"{record['n_contents']} contents: per-content {record['scalar_s']:.2f}s, "
-        f"batched {record['batched_s']:.2f}s (x{record['speedup']:.1f})"
+    widths = ", ".join(
+        f"width {w} {record[f'epoch_s_w{w}']:.2f}s" for w in EPOCH_WIDTHS
     )
+    print(f"{record['n_contents']} contents: {widths} (x{record['speedup']:.1f})")
     print(f"appended entry {len(doc['entries'])} to {out_path}")

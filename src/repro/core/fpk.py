@@ -16,16 +16,21 @@ physical clamp of the remaining space to ``[0, Q_k]``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.stats import norm
 
 from repro.core.grid import BatchGrid, StateGrid
-from repro.core.hjb import lane_cfl_steps, validate_shared_lane_params
+from repro.core.hjb import (
+    frozen_lane_plan,
+    lane_cfl_steps,
+    validate_shared_lane_params,
+)
 from repro.core.operators import (
-    batched_conservative_advection,
     batched_conservative_diffusion,
+    donor_cell_divergence,
+    donor_cell_faces,
 )
 from repro.core.parameters import MFGCPConfig
 
@@ -117,8 +122,10 @@ class BatchedFPKSolver:
         )
         cfg0 = self.configs[0]
         ch = cfg0.channel
-        # Shared (n_h, 1) fading drift b_h = (1/2) varsigma_h (upsilon_h - h).
+        # Shared (n_h, 1) fading drift b_h = (1/2) varsigma_h (upsilon_h - h),
+        # constant over time, so its donor-cell faces are built once.
         self._drift_h = 0.5 * ch.reversion * (ch.mean - grid.h)[:, None]
+        self._faces_h = donor_cell_faces(self._drift_h, axis=0)
         self._diff_h = 0.5 * ch.volatility**2
         self._diff_q = 0.5 * cfg0.caching.noise**2
         # Per-lane pieces of drift_rate(x) = Q_k * (-w1 x - w2 pi + w3 xi^L),
@@ -136,52 +143,56 @@ class BatchedFPKSolver:
             ]
         )
         self._q_size = np.array([cfg.content_size for cfg in self.configs])
+        self._all_lanes = grid.indices()
         self.stable_steps, self.substeps = lane_cfl_steps(self.configs, grid)
-
-    def _drift_q(self, policy_sheets: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        """Per-lane Eq. (4) drift under the interval's policy sheets."""
-        size_col = self._q_size[lanes][:, None, None]
-        w2_pop_col = self._w2_pop[lanes][:, None, None]
-        w3_xi_col = self._w3_xi[lanes][:, None, None]
-        return size_col * (-self._w1 * policy_sheets - w2_pop_col + w3_xi_col)
 
     def _step(
         self,
         density: np.ndarray,
-        drift_q: np.ndarray,
+        faces_q,
         dt_col,
         dq_col: np.ndarray,
         subgrid: BatchGrid,
         content_ids: Sequence[int],
     ) -> np.ndarray:
-        """One explicit conservative step for every lane in the batch."""
-        grid = self.grid
-        update = (
-            batched_conservative_advection(density, self._drift_h, grid.dh, axis=0)
-            + batched_conservative_advection(density, drift_q, dq_col, axis=1)
-            + batched_conservative_diffusion(density, self._diff_h, grid.dh, axis=0)
-            + batched_conservative_diffusion(density, self._diff_q, dq_col, axis=1)
+        """One explicit conservative step for every lane in the batch.
+
+        ``faces_q`` are the donor-cell faces of the lanes' ``q`` drift.
+        """
+        dh = self.grid.dh
+        update = donor_cell_divergence(density, self._faces_h, dh, axis=0)
+        update += donor_cell_divergence(density, faces_q, dq_col, axis=1)
+        update += batched_conservative_diffusion(density, self._diff_h, dh, axis=0)
+        update += batched_conservative_diffusion(
+            density, self._diff_q, dq_col, axis=1
         )
-        new = density + dt_col * update
+        update *= dt_col
+        update += density
         # Donor-cell + explicit diffusion can undershoot by rounding at
         # steep fronts; clip and renormalise to keep a probability law.
-        new = np.maximum(new, 0.0)
+        np.maximum(update, 0.0, out=update)
         return subgrid.normalize(
-            new, telemetry=self.telemetry, content_ids=content_ids
+            update, telemetry=self.telemetry, content_ids=content_ids
         )
 
-    def step(self, density: np.ndarray, drift_q: np.ndarray, dt: float) -> np.ndarray:
-        """One explicit conservative step of every lane.
+    def step_operator(
+        self, drift_q: np.ndarray, dt: float
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """One explicit conservative step of every lane under a fixed drift.
 
-        ``density`` and ``drift_q`` are ``(B, n_h, n_q)``; ``dt`` is the
-        step length shared by the lanes.
+        ``drift_q`` is ``(B, n_h, n_q)`` and ``dt`` the step length
+        shared by the lanes; the drift's donor-cell faces are built
+        here, once.  The returned function maps densities
+        ``(B, n_h, n_q)`` to the stepped densities.
         """
         grid = self.grid
-        return self._step(
+        faces_q = donor_cell_faces(drift_q, axis=1)
+        dq_col = grid.dq[:, None, None]
+        return lambda density: self._step(
             np.asarray(density, dtype=float),
-            np.asarray(drift_q, dtype=float),
+            faces_q,
             dt,
-            grid.dq[:, None, None],
+            dq_col,
             grid,
             self.content_ids,
         )
@@ -220,7 +231,8 @@ class BatchedFPKSolver:
             raise ValueError(
                 f"policy tables shape {policy_tables.shape} != batch {expected}"
             )
-        subgrid = grid.select(lanes)
+        full = np.array_equal(lanes, self._all_lanes)
+        subgrid = grid if full else grid.select(lanes)
         ids = [self.content_ids[int(i)] for i in lanes]
         if density0 is None:
             density = batched_initial_density(
@@ -233,30 +245,45 @@ class BatchedFPKSolver:
                 content_ids=ids,
             )
 
+        # Per-lane pieces of the Eq. (4) drift as (b, 1, 1) columns.
+        size = self._q_size[lanes][:, None, None]
+        w2_pop = self._w2_pop[lanes][:, None, None]
+        w3_xi = self._w3_xi[lanes][:, None, None]
         dq_col = grid.dq[lanes][:, None, None]
         n_sub = self.substeps[lanes]
-        max_sub = int(n_sub.max())
         dt_col = (grid.dt / n_sub)[:, None, None]
-        uniform = bool(np.all(n_sub == n_sub[0]))
+
+        def subset(idx):
+            if idx is None:
+                return dt_col, dq_col, subgrid, ids
+            return (
+                dt_col[idx],
+                dq_col[idx],
+                subgrid.select(idx),
+                [ids[int(i)] for i in idx],
+            )
+
+        plan = frozen_lane_plan(n_sub, subset)
         path = np.empty((b, grid.n_t + 1, grid.n_h, grid.n_q))
         path[:, 0] = density
         for ti in range(grid.n_t):
-            drift_q = self._drift_q(policy_tables[:, ti], lanes)
-            for s in range(max_sub):
-                if uniform:
+            # The interval's policy fixes the q drift, hence its faces.
+            drift_q = size * (-self._w1 * policy_tables[:, ti] - w2_pop + w3_xi)
+            faces_q = donor_cell_faces(drift_q, axis=1)
+            for idx, (sub_dt, sub_dq, sub_grid, sub_ids) in plan:
+                if idx is None:
                     density = self._step(
-                        density, drift_q, dt_col, dq_col, subgrid, ids
+                        density, faces_q, sub_dt, sub_dq, sub_grid, sub_ids
                     )
                 else:
                     # Lanes whose own substep count is exhausted freeze.
-                    idx = np.flatnonzero(s < n_sub)
                     density[idx] = self._step(
                         density[idx],
-                        drift_q[idx],
-                        dt_col[idx],
-                        dq_col[idx],
-                        subgrid.select(idx),
-                        [ids[int(i)] for i in idx],
+                        (faces_q[0][idx], faces_q[1][idx]),
+                        sub_dt,
+                        sub_dq,
+                        sub_grid,
+                        sub_ids,
                     )
             path[:, ti + 1] = density
         return path

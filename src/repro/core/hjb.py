@@ -38,7 +38,7 @@ The sweep carries a leading content-lane axis
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -48,13 +48,16 @@ from repro.core.grid import BatchGrid, StateGrid
 from repro.core.mean_field import MeanFieldPath
 from repro.core.operators import (
     batched_second_derivative,
-    batched_upwind_gradient,
     central_gradient,
     stable_time_step,
+    upwind_difference,
+    upwind_sources,
 )
 from repro.core.parameters import MFGCPConfig
 from repro.core.policy import CachingPolicy
 from repro.economics.utility import MarketContext
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -106,59 +109,6 @@ def validate_shared_lane_params(configs: Sequence[MFGCPConfig]) -> None:
             raise ValueError(f"lane {i} has different economic parameters")
 
 
-def _batched_control_free_utility(
-    params,
-    size_col: np.ndarray,
-    q_mesh: np.ndarray,
-    wireless_rate: np.ndarray,
-    n_requests_col: np.ndarray,
-    price_col: np.ndarray,
-    q_other_col: np.ndarray,
-    benefit_col: np.ndarray,
-) -> np.ndarray:
-    """Eq. (10) at ``x = 0`` for a batch of lanes in one numpy pass.
-
-    Replicates :meth:`repro.economics.utility.UtilityModel.total`
-    term by term and in the same float operation order, with every
-    per-lane scalar lifted to a ``(B, 1, 1)`` column — lane ``b`` is
-    bit-identical to ``UtilityModel.total(0.0, ...)`` of that lane
-    (the reference tests assert it).  The control-coupled terms
-    (``-a x - w5 x^2``) vanish at ``x = 0``.
-    """
-    two_l = 2.0 * params.cases.smoothing
-    thr = params.cases.alpha * size_col
-    have = expit(two_l * (thr - q_mesh))
-    lack = 1.0 - have
-    peer_has = expit(two_l * (thr - q_other_col))
-    p1, p2, p3 = have, lack * peer_has, lack * (1.0 - peer_has)
-
-    if params.include_trading:
-        sold = (
-            p1 * (size_col - q_mesh)
-            + p2 * (size_col - q_other_col)
-            + p3 * size_col
-        )
-        income = n_requests_col * price_col * sold
-    else:
-        income = np.zeros(np.broadcast_shapes(q_mesh.shape, size_col.shape))
-
-    per_request = (
-        p1 * (size_col - q_mesh) / wireless_rate
-        + p2 * (size_col - q_other_col) / wireless_rate
-        + p3 * (q_mesh / params.backhaul_rate + size_col / wireless_rate)
-    )
-    stale = params.eta2 * (n_requests_col * per_request)
-
-    if params.include_sharing:
-        benefit = p1 * benefit_col
-        transfer = np.maximum(q_mesh - q_other_col, 0.0)
-        share_cost = p2 * params.pricing.sharing_price * transfer
-        return income + benefit - stale - share_cost
-    return income - stale
-
-
-
-
 def lane_cfl_steps(
     configs: Sequence[MFGCPConfig], grid: BatchGrid
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -187,6 +137,31 @@ def lane_cfl_steps(
     return np.array(steps), np.array(substeps, dtype=int)
 
 
+def frozen_lane_plan(
+    substeps: np.ndarray, build: Callable[[Optional[np.ndarray]], T]
+) -> List[Tuple[Optional[np.ndarray], T]]:
+    """Which lanes step on each CFL substep of a reporting interval.
+
+    A lane with fewer substeps than the batch maximum freezes once its
+    own substeps are done.  Entry ``s`` is ``(idx, build(idx))`` with
+    ``idx`` ``None`` when every lane steps (always so on substep 0) and
+    the stepping lane subset otherwise.  The subsets only shrink, so
+    ``build`` runs once per distinct subset: a sweep builds each
+    subset's columns, sub-grid and ids once, not once per interval and
+    substep.
+    """
+    plan: List[Tuple[Optional[np.ndarray], T]] = []
+    size = -1
+    for s in range(int(substeps.max())):
+        idx = np.flatnonzero(s < substeps)
+        if idx.size != size:
+            size = idx.size
+            key = None if size == substeps.size else idx
+            built = build(key)
+        plan.append((key, built))
+    return plan
+
+
 def _balance_point(drift_const: float, w1: float) -> float:
     """The control ``x_c`` at which the ``q`` drift changes sign."""
     if w1 > 0:
@@ -195,13 +170,32 @@ def _balance_point(drift_const: float, w1: float) -> float:
 
 
 class _LaneColumns(NamedTuple):
-    """Per-lane constants of a lane subset as ``(b, 1, 1)`` columns."""
+    """Per-lane constants of a lane subset, each with a leading lane axis.
 
-    size: np.ndarray
-    drift_const: np.ndarray
-    a_lin: np.ndarray
-    x_balance: np.ndarray
+    The Godunov constants are ``(b, 1, 1)`` columns.  The market-free
+    pieces of ``U(x = 0)`` are ``(b, 1, n_q)`` where they do not depend
+    on ``h`` and ``(b, n_h, n_q)`` where the wireless rate ``R(h)``
+    enters.
+    """
+
+    size: np.ndarray  # Q
+    size_w1: np.ndarray  # Q w1
+    raw_offset: np.ndarray  # w4 / (2 w5) + eta2 Q / (2 H_c w5)
+    drift_const: np.ndarray  # c of b_q(x) = Q (c - w1 x)
+    a_lin: np.ndarray  # a of U(x) = U(0) - a x - w5 x^2
+    x_balance: np.ndarray  # x_c
     dq: np.ndarray
+    threshold: np.ndarray  # alpha Q
+    q: np.ndarray  # the cache axis, (b, 1, n_q)
+    have: np.ndarray  # p1, the case-1 probability
+    lack: np.ndarray  # 1 - p1
+    sold_own: np.ndarray  # p1 (Q - q)
+    stale_own: np.ndarray  # (p1 (Q - q)) / R(h)
+    stale_case3: np.ndarray  # q / H_c + Q / R(h)
+
+    def select(self, lanes: np.ndarray) -> "_LaneColumns":
+        """The columns of a lane subset."""
+        return _LaneColumns(*(column[lanes] for column in self))
 
 
 class BatchedHJBSolver:
@@ -212,7 +206,8 @@ class BatchedHJBSolver:
     and economic parameters (:func:`validate_shared_lane_params`) and
     differ in their demand fields, so the per-lane constants — drift
     constant ``c`` and balance point ``x_c``, linear utility coefficient
-    ``a``, CFL step and substep count — are computed here per config.
+    ``a``, CFL step and substep count — are computed here per config,
+    together with the parts of ``U(x = 0)`` that no market moves.
     Every stencil is elementwise along the lane axis, and lanes with
     fewer CFL substeps than the batch maximum freeze once their own
     substeps are done, so a lane's result does not depend on the batch
@@ -233,6 +228,10 @@ class BatchedHJBSolver:
         # b_h = (1/2) varsigma_h (upsilon_h - h) is constant over time;
         # as an (n_h, 1) column it broadcasts over lanes and q.
         self._drift_h = 0.5 * ch.reversion * (ch.mean - grid.h)[:, None]
+        # Negated velocity flips the upwind side: the backward-time
+        # equation reads along forward characteristics (see _godunov_q).
+        # Its sign is fixed, so each h node's difference is chosen once.
+        self._upwind_h = upwind_sources(-self._drift_h, grid.n_h, axis=0)
         self._rate_of_h = np.asarray(
             ch.rate_of_fading(grid.h), dtype=float
         )[:, None]
@@ -245,11 +244,12 @@ class BatchedHJBSolver:
         self._diff_q = 0.5 * cfg0.caching.noise**2
         drift = cfg0.caching_drift()
         self._w1 = drift.w1
-        self._params = cfg0.economic_parameters()
-        self._w4 = cfg0.w4
-        self._w5 = self._params.w5
-        self._eta2 = cfg0.eta2
-        self._backhaul = cfg0.backhaul_rate
+        self._params = params = cfg0.economic_parameters()
+        self._w5 = params.w5
+        self._two_w5 = 2.0 * self._w5
+        self._two_l = 2.0 * params.cases.smoothing
+        self.stable_steps, self.substeps = lane_cfl_steps(self.configs, grid)
+
         # Per-lane constants: the control-free drift multiplier c of
         # b_q(x) = Q (c - w1 x), its balance point, and the linear
         # coefficient a of the control-coupled utility
@@ -258,131 +258,167 @@ class BatchedHJBSolver:
             float(drift.rate(0.0, cfg.popularity, cfg.timeliness))
             for cfg in self.configs
         ]
-        self._drift_const = np.array(drift_const)
-        self._x_balance = np.array(
-            [_balance_point(c, self._w1) for c in drift_const]
+        a_lin = [
+            cfg.utility_model().control_gradient_constants()[0]
+            for cfg in self.configs
+        ]
+        q_size = np.array([cfg.content_size for cfg in self.configs])
+        raw_offset = cfg0.w4 / self._two_w5 + cfg0.eta2 * q_size / (
+            2.0 * cfg0.backhaul_rate * self._w5
         )
-        self._a_lin = np.array(
-            [
-                cfg.utility_model().control_gradient_constants()[0]
-                for cfg in self.configs
-            ]
+
+        def column(values) -> np.ndarray:
+            return np.asarray(values, dtype=float)[:, None, None]
+
+        size = column(q_size)
+        q = grid.q[:, None, :]
+        threshold = params.cases.alpha * size
+        have = expit(self._two_l * (threshold - q))
+        sold_own = have * (size - q)
+        self._all_lanes = grid.indices()
+        self._all = _LaneColumns(
+            size=size,
+            size_w1=size * self._w1,
+            raw_offset=column(raw_offset),
+            drift_const=column(drift_const),
+            a_lin=column(a_lin),
+            x_balance=column([_balance_point(c, self._w1) for c in drift_const]),
+            dq=column(grid.dq),
+            threshold=threshold,
+            q=q,
+            have=have,
+            lack=1.0 - have,
+            sold_own=sold_own,
+            stale_own=sold_own / self._rate_of_h,
+            stale_case3=q / params.backhaul_rate + size / self._rate_of_h,
         )
-        self._q_size = np.array([cfg.content_size for cfg in self.configs])
-        self.stable_steps, self.substeps = lane_cfl_steps(self.configs, grid)
 
     def _columns(self, lanes: np.ndarray) -> _LaneColumns:
-        return _LaneColumns(
-            size=self._q_size[lanes][:, None, None],
-            drift_const=self._drift_const[lanes][:, None, None],
-            a_lin=self._a_lin[lanes][:, None, None],
-            x_balance=self._x_balance[lanes][:, None, None],
-            dq=self.grid.dq[lanes][:, None, None],
-        )
+        if np.array_equal(lanes, self._all_lanes):
+            return self._all
+        return self._all.select(lanes)
 
     # ------------------------------------------------------------------
     # Godunov Hamiltonian in q
     # ------------------------------------------------------------------
-    def _one_sided_gradients_q(
-        self, value: np.ndarray, dq_col: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Backward and forward differences in ``q`` with Neumann ghosts."""
-        backward = np.zeros_like(value)
-        forward = np.zeros_like(value)
-        diff = (value[:, :, 1:] - value[:, :, :-1]) / dq_col
-        backward[:, :, 1:] = diff
-        forward[:, :, :-1] = diff
-        # Reflecting state boundaries => zero normal derivative ghosts.
-        return backward, forward
-
-    def _branch_maximum(self, grad, x_lo, x_hi, cols: _LaneColumns):
-        """Maximise the control part of the Hamiltonian on one branch.
-
-        ``g(x) = b_q(x) grad - a x - w5 x^2`` with
-        ``b_q(x) = Q (c - w1 x)``, maximised over ``x in [x_lo, x_hi]``
-        by the Eq. (21) closed form clipped to the branch.  Returns the
-        branch value and its argmax.
-        """
-        raw = -(
-            self._w4 / (2.0 * self._w5)
-            + self._eta2 * cols.size / (2.0 * self._backhaul * self._w5)
-            + cols.size * self._w1 * grad / (2.0 * self._w5)
-        )
-        x = np.clip(np.clip(raw, 0.0, 1.0), x_lo, x_hi)
-        value = (
-            cols.size * (cols.drift_const - self._w1 * x) * grad
-            - cols.a_lin * x
-            - self._w5 * x**2
-        )
-        return value, x
+    def _branch_value(self, grad, x, cols: _LaneColumns) -> np.ndarray:
+        """``g(x) = Q (c - w1 x) grad - a x - w5 x^2`` on one branch."""
+        value = self._w1 * x
+        np.subtract(cols.drift_const, value, out=value)
+        value *= cols.size
+        value *= grad
+        term = cols.a_lin * x
+        value -= term
+        np.square(x, out=term)
+        term *= self._w5
+        value -= term
+        return value
 
     def _godunov_q(self, value, cols: _LaneColumns):
         """Monotone upwinded ``max_x [ b_q(x) d_qV - a x - w5 x^2 ]``.
 
-        Returns the Hamiltonian contribution and the maximising control.
+        Each branch maximises ``g(x) = b_q(x) grad - a x - w5 x^2``
+        with ``b_q(x) = Q (c - w1 x)`` over its half of ``[0, 1]`` by
+        the Eq. (21) closed form clipped to the branch.  Returns the
+        Hamiltonian contribution and the maximising control.
         """
-        backward, forward = self._one_sided_gradients_q(value, cols.dq)
+        b, n_h, n_q = value.shape
+        # The interface differences in q, padded with the reflecting
+        # boundary's zero-gradient ghosts: D+ V is grad[..., 1:] and
+        # D- V is grad[..., :-1].
+        grad = np.empty((b, n_h, n_q + 1))
+        grad[:, :, 0] = 0.0
+        grad[:, :, n_q] = 0.0
+        inner = grad[:, :, 1:n_q]
+        np.subtract(value[:, :, 1:], value[:, :, :-1], out=inner)
+        inner /= cols.dq
+        # The unclipped maximiser is affine in the gradient, so one pass
+        # over the shared differences serves both branches.
+        raw = np.multiply(cols.size_w1, grad)
+        raw /= self._two_w5
+        raw += cols.raw_offset
+        np.negative(raw, out=raw)
         # Upwinding for the BACKWARD-in-time equation follows the
         # forward characteristics: V(t, q) ~ V(t+dt, q + b dt), so
         # positive drift reads from larger q (forward difference).
         # Branch A: drift >= 0 (x below the balance point) -> D+ V.
-        val_a, x_a = self._branch_maximum(forward, 0.0, cols.x_balance, cols)
+        x_a = np.clip(raw[:, :, 1:], 0.0, cols.x_balance)
+        val_a = self._branch_value(grad[:, :, 1:], x_a, cols)
         # Branch B: drift <= 0 (x above the balance point) -> D- V.
-        val_b, x_b = self._branch_maximum(backward, cols.x_balance, 1.0, cols)
+        x_b = np.clip(raw[:, :, :n_q], cols.x_balance, 1.0)
+        val_b = self._branch_value(grad[:, :, :n_q], x_b, cols)
         take_a = val_a >= val_b
-        return np.where(take_a, val_a, val_b), np.where(take_a, x_a, x_b)
+        np.copyto(val_b, val_a, where=take_a)
+        np.copyto(x_b, x_a, where=take_a)
+        return val_b, x_b
 
     def _step_rhs(self, value, utility0, cols: _LaneColumns):
         """The bracketed operator of Eq. (20) and the maximising control."""
-        grid = self.grid
+        dh = self.grid.dh
         ham_q, control = self._godunov_q(value, cols)
-        # Negated velocity flips the upwind side: the backward-time
-        # equation reads along forward characteristics (see _godunov_q).
-        adv_h = self._drift_h * batched_upwind_gradient(
-            value, grid.dh, -self._drift_h, axis=0
-        )
-        diff = self._diff_h * batched_second_derivative(
-            value, grid.dh, axis=0
+        rhs = upwind_difference(value, dh, self._upwind_h, axis=0)
+        rhs *= self._drift_h
+        rhs += ham_q
+        rhs += self._diff_h * batched_second_derivative(
+            value, dh, axis=0
         ) + self._diff_q * batched_second_derivative(value, cols.dq, axis=1)
-        return adv_h + ham_q + diff + utility0, control
+        rhs += utility0
+        return rhs, control
 
-    def _utility0(self, markets, cols: _LaneColumns, q_mesh) -> np.ndarray:
-        """Control-free running utility ``U(x = 0)`` of each lane.
+    def _utility0(self, market: np.ndarray, cols: _LaneColumns) -> np.ndarray:
+        """Control-free running utility ``U(x = 0)`` of each lane, Eq. (10).
 
-        ``markets`` holds one row per lane: request rate, price, peer
-        state and sharing benefit.  The control-coupled part (``-a x - w5 x^2``) already lives inside
-        the Godunov term.
+        ``market`` holds one row per lane: request rate, price, peer
+        state and sharing benefit.  Only the peer-dependent terms are
+        evaluated here; the rest come from ``cols``.  Each term keeps
+        the float operation order of
+        :meth:`repro.economics.utility.UtilityModel.total` at ``x = 0``,
+        so a lane is bit-identical to it.  The control-coupled part
+        (``-a x - w5 x^2``) lives inside the Godunov term.
         """
-        return _batched_control_free_utility(
-            self._params,
-            cols.size,
-            q_mesh,
-            self._rate_of_h,
-            markets[:, 0, None, None],
-            markets[:, 1, None, None],
-            markets[:, 2, None, None],
-            markets[:, 3, None, None],
+        params = self._params
+        n_requests, price, q_other, benefit = (
+            market[:, k, None, None] for k in range(4)
         )
+        peer_has = expit(self._two_l * (cols.threshold - q_other))
+        p2 = cols.lack * peer_has
+        p3 = cols.lack * (1.0 - peer_has)
+        sold_peer = p2 * (cols.size - q_other)
+        if params.include_trading:
+            sold = cols.sold_own + sold_peer + p3 * cols.size
+            income = n_requests * price * sold
+        else:
+            income = 0.0
+        per_request = cols.stale_own + sold_peer / self._rate_of_h
+        per_request += p3 * cols.stale_case3
+        stale = params.eta2 * (n_requests * per_request)
+        if params.include_sharing:
+            transfer = np.maximum(cols.q - q_other, 0.0)
+            share_cost = p2 * params.pricing.sharing_price * transfer
+            return income + cols.have * benefit - stale - share_cost
+        return income - stale
 
-    def step_rhs(
-        self, values: np.ndarray, contexts: Sequence[MarketContext]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Eq. (20)'s bracketed operator and its maximising control.
+    def step_operator(
+        self, contexts: Sequence[MarketContext]
+    ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+        """Eq. (20)'s bracketed operator under fixed markets.
 
-        ``values`` holds one value sheet per lane, shape
-        ``(B, n_h, n_q)``, and ``contexts`` the market each lane faces.
+        ``contexts`` holds the market each lane faces; ``U(x = 0)`` is
+        evaluated here, once.  The returned function maps value sheets
+        ``(B, n_h, n_q)`` to the operator and its maximising control.
         """
-        markets = np.array(
+        market = np.array(
             [[c.n_requests, c.price, c.q_other, c.sharing_benefit] for c in contexts]
         )
-        cols = self._columns(self.grid.indices())
-        utility0 = self._utility0(markets, cols, self.grid.q_mesh())
-        return self._step_rhs(np.asarray(values, dtype=float), utility0, cols)
+        cols = self._all
+        utility0 = self._utility0(market, cols)
+        return lambda values: self._step_rhs(
+            np.asarray(values, dtype=float), utility0, cols
+        )
 
     def control_from_value(self, values: np.ndarray) -> np.ndarray:
         """The Godunov-consistent policy sheets of every lane's value sheet."""
-        cols = self._columns(self.grid.indices())
-        return self._godunov_q(np.asarray(values, dtype=float), cols)[1]
+        return self._godunov_q(np.asarray(values, dtype=float), self._all)[1]
 
     def solve(
         self,
@@ -436,36 +472,42 @@ class BatchedHJBSolver:
             ]
         )
         cols = self._columns(lanes)
-        q_mesh = grid.q_mesh()[lanes]
+        n_sub = self.substeps[lanes]
+        dt_col = (grid.dt / n_sub)[:, None, None]  # per-lane substep
+
+        def subset(idx):
+            if idx is None:
+                return cols, dt_col
+            return cols.select(idx), dt_col[idx]
+
+        plan = frozen_lane_plan(n_sub, subset)
         value_path = np.empty((b, grid.n_t + 1, grid.n_h, grid.n_q))
         policy_path = np.empty_like(value_path)
         value_path[:, grid.n_t] = value
-        policy_path[:, grid.n_t] = self._godunov_q(value, cols)[1]
-
-        n_sub = self.substeps[lanes]
-        max_sub = int(n_sub.max())
-        dt_col = (grid.dt / n_sub)[:, None, None]  # per-lane substep
-        uniform = bool(np.all(n_sub == n_sub[0]))
         for ti in range(grid.n_t - 1, -1, -1):
             # U(x = 0) depends only on the interval's market, so it is
             # evaluated once per interval, not once per substep.
-            utility0 = self._utility0(markets[:, :, ti], cols, q_mesh)
-            for s in range(max_sub):
-                if uniform:
-                    rhs, _ = self._step_rhs(value, utility0, cols)
-                    value = value + dt_col * rhs
+            utility0 = self._utility0(markets[:, :, ti], cols)
+            for s, (idx, (sub_cols, sub_dt)) in enumerate(plan):
+                if idx is None:
+                    rhs, control = self._step_rhs(value, utility0, sub_cols)
+                    rhs *= sub_dt
+                    value += rhs
                 else:
                     # Lanes whose own substep count is exhausted freeze;
                     # the stepping subset advances with its own dt.
-                    idx = np.flatnonzero(s < n_sub)
-                    rhs, _ = self._step_rhs(
-                        value[idx], utility0[idx], self._columns(lanes[idx])
-                    )
-                    value[idx] = value[idx] + dt_col[idx] * rhs
+                    sub = value[idx]
+                    rhs, control = self._step_rhs(sub, utility0[idx], sub_cols)
+                    rhs *= sub_dt
+                    sub += rhs
+                    value[idx] = sub
+                if s == 0:
+                    # Every lane steps on substep 0, from the interval's
+                    # right-end sheet: its control is that sheet's
+                    # Godunov-consistent policy.
+                    policy_path[:, ti + 1] = control
             value_path[:, ti] = value
-            # Re-extract the control from the settled value sheet so the
-            # stored policy is exactly Godunov-consistent with it.
-            policy_path[:, ti] = self._godunov_q(value, cols)[1]
+        policy_path[:, 0] = self._godunov_q(value, cols)[1]
         return value_path, policy_path
 
 
@@ -527,7 +569,7 @@ class HJBSolver:
         worst = 0.0
         for ti in indices:
             ctx = mean_field.context(int(ti))
-            rhs = self.batch.step_rhs(value_path[ti + 1][None], [ctx])[0][0]
+            rhs = self.batch.step_operator([ctx])(value_path[ti + 1][None])[0][0]
             residual = (value_path[ti] - value_path[ti + 1]) / grid.dt - rhs
             scale = 1.0 + float(np.max(np.abs(rhs)))
             worst = max(worst, float(np.max(np.abs(residual))) / scale)

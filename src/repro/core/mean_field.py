@@ -89,10 +89,25 @@ class MeanFieldPath:
 
 @dataclass
 class MeanFieldEstimator:
-    """Computes :class:`MeanFieldPath` from density and policy paths."""
+    """Computes :class:`MeanFieldPath` from density and policy paths.
+
+    Everything an estimate needs besides the two paths (quadrature
+    weights, ``q`` mesh, threshold masks, pricing model, request path)
+    depends on the config and grid alone and is built once, here.
+    """
 
     config: MFGCPConfig
     grid: StateGrid
+
+    def __post_init__(self) -> None:
+        cfg, grid = self.config, self.grid
+        self._weights = grid.cell_weights()
+        self._q_mesh = grid.q_mesh()
+        threshold = cfg.alpha * cfg.content_size
+        self._low_mask = (self._q_mesh <= threshold).astype(float)
+        self._high_mask = 1.0 - self._low_mask
+        self._pricing = cfg.pricing_model()
+        self._requests = np.asarray(cfg.n_requests_at(grid.t), dtype=float)
 
     def estimate(
         self,
@@ -126,14 +141,13 @@ class MeanFieldEstimator:
             )
 
         cfg = self.config
-        weights = self.grid.cell_weights()
-        q_mesh = self.grid.q_mesh()
-        threshold = cfg.alpha * cfg.content_size
-        low_mask = (q_mesh <= threshold).astype(float)
+        weights = self._weights
+        q_mesh = self._q_mesh
+        low_mask = self._low_mask
 
         # Population-average control, Eq. (17)'s integral.
         mean_control = np.einsum("thq,thq,hq->t", density_path, policy_table, weights)
-        price = cfg.pricing_model().mean_field(cfg.content_size, mean_control)
+        price = self._pricing.mean_field(cfg.content_size, mean_control)
 
         # Average peer cache state, Eq. (18).
         mean_q = np.einsum("thq,hq,hq->t", density_path, q_mesh, weights)
@@ -143,7 +157,7 @@ class MeanFieldEstimator:
             "thq,hq,hq,hq->t", density_path, q_mesh, low_mask, weights
         )
         partial_high = np.einsum(
-            "thq,hq,hq,hq->t", density_path, q_mesh, 1.0 - low_mask, weights
+            "thq,hq,hq,hq->t", density_path, q_mesh, self._high_mask, weights
         )
         mean_transfer = np.abs(partial_low - partial_high)
 
@@ -167,7 +181,8 @@ class MeanFieldEstimator:
             benefit = np.zeros_like(mean_q)
 
         if n_requests is None:
-            requests = cfg.n_requests_at(self.grid.t)
+            # A copy: returned paths never share a mutable array.
+            requests = self._requests.copy()
         else:
             requests = np.asarray(n_requests, dtype=float)
         return MeanFieldPath(

@@ -23,11 +23,20 @@ shape ``(B,)`` / ``(B, 1, 1)`` (each content's cache axis spans its own
 ``[0, Q_k]``).  Every stencil is elementwise along the batch axis, so
 lane ``b`` of the output does not depend on the other lanes.
 
+Two stencils come in two parts, so a sweep can compute the part that
+depends only on a velocity once per velocity field:
+:func:`batched_upwind_gradient` is :func:`upwind_sources` (which
+difference each node reads) then :func:`upwind_difference`, and
+:func:`batched_conservative_advection` is :func:`donor_cell_faces`
+(the upwind interface velocities) then :func:`donor_cell_divergence`.
+
 :func:`central_gradient` acts on one 2-D ``(n_h, n_q)`` field; the
 reporting helpers use it to read ``d_q V`` off a solved value sheet.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,13 +83,48 @@ def _batched_spacing(spacing, n_lanes: int):
     return arr
 
 
-def _to_last_axis(field: np.ndarray, axis: int) -> np.ndarray:
-    """View with the requested spatial axis moved last (batch axis fixed)."""
-    if axis == 0:
-        return np.swapaxes(field, 1, 2)
-    if axis == 1:
-        return field
-    raise ValueError(f"axis must be 0 or 1, got {axis}")
+def _along(axis: int, start, stop) -> tuple:
+    """An index tuple slicing ``[start:stop]`` along a spatial axis."""
+    index = slice(start, stop)
+    return (Ellipsis, index) if axis == 1 else (Ellipsis, index, slice(None))
+
+
+class _Sides(NamedTuple):
+    """The slices the stencils take along one spatial axis."""
+
+    low: tuple  # [:-1], the low cell of every interface
+    high: tuple  # [1:], the high cell of every interface
+    inner: tuple  # [1:-1]
+    low2: tuple  # [:-2]
+    high2: tuple  # [2:]
+    first: tuple  # [:1]
+    second: tuple  # [1:2]
+    penult: tuple  # [-2:-1]
+    last: tuple  # [-1:]
+
+
+_SIDES = {
+    axis: _Sides(
+        low=_along(axis, None, -1),
+        high=_along(axis, 1, None),
+        inner=_along(axis, 1, -1),
+        low2=_along(axis, None, -2),
+        high2=_along(axis, 2, None),
+        first=_along(axis, None, 1),
+        second=_along(axis, 1, 2),
+        penult=_along(axis, -2, -1),
+        last=_along(axis, -1, None),
+    )
+    for axis in (0, 1)
+}
+
+
+def _sides(axis: int) -> _Sides:
+    """The slices along spatial ``axis`` (0 = fading, 1 = cache)."""
+    try:
+        return _SIDES[axis]
+    except (KeyError, TypeError):
+        raise ValueError(f"axis must be 0 or 1, got {axis}") from None
 
 
 def central_gradient(field: np.ndarray, spacing: float, axis: int) -> np.ndarray:
@@ -102,45 +146,69 @@ def central_gradient(field: np.ndarray, spacing: float, axis: int) -> np.ndarray
     return grad
 
 
+def upwind_sources(velocity: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """The interface difference each node reads, upwinded by ``velocity``.
+
+    For positive velocity information flows from lower indices, so node
+    ``i`` reads the backward difference ``i - 1``; otherwise the
+    forward difference ``i``.  Boundary nodes fall back to the
+    available one-sided difference.  ``velocity`` broadcasts against
+    the field; the indices have the broadcast of its shape and the
+    ``n`` nodes along ``axis``.  They depend on the velocity's sign
+    alone, so a sweep with a fixed velocity computes them once.
+    """
+    _sides(axis)
+    v = np.asarray(velocity, dtype=float)
+    node = np.arange(n).reshape((n, 1) if axis == 0 else (n,))
+    return np.clip(node - (v > 0), 0, n - 2)
+
+
+def upwind_difference(
+    field: np.ndarray, spacing, sources: np.ndarray, axis: int
+) -> np.ndarray:
+    """Upwinded first derivative of ``(B, n_h, n_q)`` lanes.
+
+    Each node takes the interface difference :func:`upwind_sources`
+    names.  Sources that vary along ``axis`` only (a velocity shared by
+    the lanes and the other axis) are one gather.
+    """
+    field = _check_batched("field", field)
+    spacing = _batched_spacing(spacing, field.shape[0])
+    sides = _sides(axis)
+    diff = np.subtract(field[sides.high], field[sides.low])
+    diff /= spacing
+    if sources.size == sources.shape[axis - 2]:
+        return np.take(diff, sources.reshape(-1), axis=axis + 1)
+    index = sources.reshape((1,) * (3 - sources.ndim) + sources.shape)
+    return np.take_along_axis(diff, index, axis=axis + 1)
+
+
 def batched_upwind_gradient(
     field: np.ndarray, spacing, velocity: np.ndarray, axis: int
 ) -> np.ndarray:
     """First derivative over ``(B, n_h, n_q)`` lanes, upwinded by drift sign.
 
-    For positive velocity information flows from lower indices, so the
-    backward difference is used; for negative velocity the forward
-    difference.  Boundary rows fall back to the available one-sided
-    difference.  ``velocity`` broadcasts against the field (per-lane
-    drift tables or a shared ``(n_h, 1)`` profile alike); ``spacing``
-    may be per lane.
+    :func:`upwind_difference` with the :func:`upwind_sources` of
+    ``velocity``, which broadcasts against the field (per-lane drift
+    tables or a shared ``(n_h, 1)`` profile alike); ``spacing`` may be
+    per lane.
     """
     field = _check_batched("field", field)
-    spacing = _batched_spacing(spacing, field.shape[0])
-    velocity = np.broadcast_to(np.asarray(velocity, dtype=float), field.shape)
-
-    f = _to_last_axis(field, axis)
-    v = _to_last_axis(velocity, axis)
-    forward = np.empty_like(f)
-    backward = np.empty_like(f)
-    diff = (f[:, :, 1:] - f[:, :, :-1]) / spacing
-    forward[:, :, :-1] = diff
-    forward[:, :, -1] = forward[:, :, -2]
-    backward[:, :, 1:] = diff
-    backward[:, :, 0] = backward[:, :, 1]
-    grad = np.where(v > 0, backward, forward)
-    return _to_last_axis(grad, axis)
+    _sides(axis)
+    sources = upwind_sources(velocity, field.shape[axis + 1], axis)
+    return upwind_difference(field, spacing, sources, axis)
 
 
 def batched_central_gradient(field: np.ndarray, spacing, axis: int) -> np.ndarray:
     """:func:`central_gradient` of every lane of a ``(B, n_h, n_q)`` stack."""
     field = _check_batched("field", field)
     spacing = _batched_spacing(spacing, field.shape[0])
-    f = _to_last_axis(field, axis)
-    grad = np.empty_like(f)
-    grad[:, :, 1:-1] = (f[:, :, 2:] - f[:, :, :-2]) / (2.0 * spacing)
-    grad[:, :, :1] = (f[:, :, 1:2] - f[:, :, 0:1]) / spacing
-    grad[:, :, -1:] = (f[:, :, -1:] - f[:, :, -2:-1]) / spacing
-    return _to_last_axis(grad, axis)
+    sides = _sides(axis)
+    grad = np.empty_like(field)
+    grad[sides.inner] = (field[sides.high2] - field[sides.low2]) / (2.0 * spacing)
+    grad[sides.first] = (field[sides.second] - field[sides.first]) / spacing
+    grad[sides.last] = (field[sides.last] - field[sides.penult]) / spacing
+    return grad
 
 
 def batched_second_derivative(field: np.ndarray, spacing, axis: int) -> np.ndarray:
@@ -151,13 +219,75 @@ def batched_second_derivative(field: np.ndarray, spacing, axis: int) -> np.ndarr
     """
     field = _check_batched("field", field)
     spacing = _batched_spacing(spacing, field.shape[0])
-    f = _to_last_axis(field, axis)
+    sides = _sides(axis)
     s2 = spacing * spacing
-    lap = np.empty_like(f)
-    lap[:, :, 1:-1] = (f[:, :, 2:] - 2.0 * f[:, :, 1:-1] + f[:, :, :-2]) / s2
-    lap[:, :, :1] = 2.0 * (f[:, :, 1:2] - f[:, :, 0:1]) / s2
-    lap[:, :, -1:] = 2.0 * (f[:, :, -2:-1] - f[:, :, -1:]) / s2
-    return _to_last_axis(lap, axis)
+    lap = np.empty_like(field)
+    inner = lap[sides.inner]
+    np.multiply(2.0, field[sides.inner], out=inner)
+    np.subtract(field[sides.high2], inner, out=inner)
+    inner += field[sides.low2]
+    inner /= s2
+    lap[sides.first] = 2.0 * (field[sides.second] - field[sides.first]) / s2
+    lap[sides.last] = 2.0 * (field[sides.penult] - field[sides.last]) / s2
+    return lap
+
+
+def _face_fluxes(shape, axis: int):
+    """A face-flux array for ``(B, n_h, n_q)`` fields: ``n + 1`` faces along ``axis``.
+
+    The two boundary faces are zero (no flux leaves the domain).
+    Returns the array and the view of its ``n - 1`` interior faces,
+    which the caller fills.
+    """
+    sides = _sides(axis)
+    ax = axis + 1
+    faces = np.empty(shape[:ax] + (shape[ax] + 1,) + shape[ax + 1 :])
+    faces[sides.first] = 0.0
+    faces[sides.last] = 0.0
+    return faces, faces[sides.inner]
+
+
+def _flux_divergence(fluxes: np.ndarray, axis: int) -> np.ndarray:
+    """``F_{i+1/2} - F_{i-1/2}`` per node from its two faces."""
+    sides = _sides(axis)
+    return np.subtract(fluxes[sides.high], fluxes[sides.low])
+
+
+def donor_cell_faces(velocity: np.ndarray, axis: int):
+    """Upwind parts ``(v_f^+, v_f^-)`` of the interface velocities along an axis.
+
+    ``v_f = (v_i + v_{i+1}) / 2`` between consecutive cells.
+    ``velocity`` needs its full extent along ``axis`` and broadcasts
+    over the rest (a shared ``(n_h, 1)`` profile or per-lane tables
+    alike).  The faces depend on the velocity alone, so a sweep
+    computes them once per velocity field, not once per step.
+    """
+    sides = _sides(axis)
+    v = np.asarray(velocity, dtype=float)
+    v_face = v[sides.low] + v[sides.high]
+    v_face *= 0.5
+    return np.maximum(v_face, 0.0), np.minimum(v_face, 0.0)
+
+
+def donor_cell_divergence(density: np.ndarray, faces, spacing, axis: int) -> np.ndarray:
+    """``-d(v * rho)/dx`` over ``(B, n_h, n_q)`` lanes from :func:`donor_cell_faces`.
+
+    The interface flux between cells ``i`` and ``i+1`` is
+    ``F = v_f^+ rho_i + v_f^- rho_{i+1}``; the boundary fluxes are
+    zero, so each lane's update sums to zero and its total mass is
+    conserved.
+    """
+    density = _check_batched("density", density)
+    spacing = _batched_spacing(spacing, density.shape[0])
+    sides = _sides(axis)
+    plus, minus = faces
+    fluxes, flux = _face_fluxes(density.shape, axis)
+    np.multiply(plus, density[sides.low], out=flux)
+    flux += minus * density[sides.high]
+    update = _flux_divergence(fluxes, axis)
+    np.negative(update, out=update)
+    update /= spacing
+    return update
 
 
 def batched_conservative_advection(
@@ -165,26 +295,14 @@ def batched_conservative_advection(
 ) -> np.ndarray:
     """``-d(v * rho)/dx`` over ``(B, n_h, n_q)`` lanes, donor-cell fluxes.
 
-    The interface flux between cells ``i`` and ``i+1`` is
-    ``F = v_f^+ rho_i + v_f^- rho_{i+1}`` with ``v_f`` the interface
-    velocity average; the boundary fluxes are forced to zero, so each
-    lane's update sums to zero and its total mass is conserved.
+    :func:`donor_cell_divergence` of the faces of ``velocity``, which
+    broadcasts against the density.
     """
     density = _check_batched("density", density)
-    spacing = _batched_spacing(spacing, density.shape[0])
     velocity = np.broadcast_to(np.asarray(velocity, dtype=float), density.shape)
-
-    d = _to_last_axis(density, axis)
-    v = _to_last_axis(velocity, axis)
-    v_face = 0.5 * (v[:, :, :-1] + v[:, :, 1:])
-    flux = (
-        np.maximum(v_face, 0.0) * d[:, :, :-1]
-        + np.minimum(v_face, 0.0) * d[:, :, 1:]
+    return donor_cell_divergence(
+        density, donor_cell_faces(velocity, axis), spacing, axis
     )
-    flux_full = np.zeros(d.shape[:-1] + (d.shape[-1] + 1,))
-    flux_full[:, :, 1:-1] = flux
-    update = -(flux_full[:, :, 1:] - flux_full[:, :, :-1]) / spacing
-    return _to_last_axis(update, axis)
 
 
 def batched_conservative_diffusion(
@@ -195,12 +313,14 @@ def batched_conservative_diffusion(
     spacing = _batched_spacing(spacing, density.shape[0])
     if diffusivity < 0:
         raise ValueError(f"diffusivity must be non-negative, got {diffusivity}")
-    d = _to_last_axis(density, axis)
-    grad = (d[:, :, 1:] - d[:, :, :-1]) / spacing
-    flux_full = np.zeros(d.shape[:-1] + (d.shape[-1] + 1,))
-    flux_full[:, :, 1:-1] = diffusivity * grad
-    update = (flux_full[:, :, 1:] - flux_full[:, :, :-1]) / spacing
-    return _to_last_axis(update, axis)
+    sides = _sides(axis)
+    fluxes, flux = _face_fluxes(density.shape, axis)
+    np.subtract(density[sides.high], density[sides.low], out=flux)
+    flux /= spacing
+    flux *= diffusivity
+    update = _flux_divergence(fluxes, axis)
+    update /= spacing
+    return update
 
 
 def stable_time_step(

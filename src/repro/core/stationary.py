@@ -143,8 +143,11 @@ class StationarySolver:
             np.zeros(self.grid.shape) if value0 is None else value0.copy()
         )
         dt = self._dt
+        # The market is fixed for the whole march, so U(x = 0) is
+        # evaluated once, not once per artificial-time step.
+        step_rhs = self._hjb.batch.step_operator([ctx])
         for _ in range(max_steps):
-            rhs, control = self._hjb.batch.step_rhs(value[None], [ctx])
+            rhs, control = step_rhs(value[None])
             update = dt * (rhs[0] - self.discount * value)
             value = value + update
             residual = float(np.max(np.abs(update))) / dt
@@ -175,8 +178,9 @@ class StationarySolver:
         )
         drift_q = self.config.drift_rate(policy)
         dt = self.grid.dt / self._fpk.substeps_per_interval()
+        step = self._fpk.batch.step_operator(drift_q[None], dt)
         for _ in range(max_steps):
-            new = self._fpk.batch.step(density[None], drift_q[None], dt)[0]
+            new = step(density[None])[0]
             change = float(np.max(np.abs(new - density)))
             density = new
             if change < tol * (1.0 + float(density.max())):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.best_response import BestResponseIterator, build_grid
-from repro.core.hjb import HJBSolver
+from repro.core.grid import BatchGrid
+from repro.core.hjb import BatchedHJBSolver, HJBSolver
 from repro.core.mean_field import MeanFieldEstimator
 from repro.core.parameters import MFGCPConfig
 
@@ -92,6 +93,43 @@ class TestBackwardSweep:
         solution = solver.solve(mf)
         recomputed = solver.control_from_value(solution.value[0])
         assert np.allclose(recomputed, solution.policy.table[0], atol=1e-9)
+
+
+class TestPolicyIsGodunovConsistent:
+    """The stored policy of every reporting time is, bit for bit, the
+    Godunov control of that time's value sheet."""
+
+    def test_default_grid_one_lane(self):
+        config = MFGCPConfig()
+        grid = build_grid(config)
+        solver = HJBSolver(config, grid)
+        mf = MeanFieldEstimator(config, grid).constant_guess()
+        solution = solver.solve(mf)
+        for t in range(grid.n_t + 1):
+            assert np.array_equal(
+                solver.control_from_value(solution.value[t]),
+                solution.policy.table[t],
+            ), t
+
+    def test_batch_with_frozen_lanes(self):
+        configs = [
+            replace(MFGCPConfig.fast(), content_size=size)
+            for size in (5.0, 20.0, 50.0, 150.0, 400.0)
+        ]
+        lane_grids = [build_grid(cfg) for cfg in configs]
+        solver = BatchedHJBSolver(configs, BatchGrid.from_grids(lane_grids))
+        # Lanes with fewer CFL substeps than the batch maximum freeze
+        # part of each interval: the frozen-lane path runs.
+        assert len(set(solver.substeps.tolist())) >= 2
+        mean_fields = [
+            MeanFieldEstimator(cfg, g).constant_guess()
+            for cfg, g in zip(configs, lane_grids)
+        ]
+        values, policies = solver.solve(mean_fields)
+        for t in range(solver.grid.n_t + 1):
+            assert np.array_equal(
+                solver.control_from_value(values[:, t]), policies[:, t]
+            ), t
 
 
 class TestEconomicShape:

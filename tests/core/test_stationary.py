@@ -23,7 +23,8 @@ class TestStationarySolve:
         solver = StationarySolver(res.config, discount=1.0, grid=res.grid)
         drift_q = res.config.drift_rate(res.policy)
         dt = res.grid.dt / solver._fpk.substeps_per_interval()
-        stepped = solver._fpk.batch.step(res.density[None], drift_q[None], dt)[0]
+        step = solver._fpk.batch.step_operator(drift_q[None], dt)
+        stepped = step(res.density[None])[0]
         assert np.max(np.abs(stepped - res.density)) < 1e-5
 
     def test_density_unit_mass(self, stationary_result):
@@ -91,7 +92,7 @@ class TestInnerSolvers:
         )
         value, control = solver.value_iteration(ctx)
         # Stationarity: the discounted HJB residual is ~0.
-        rhs, _ = solver._hjb.batch.step_rhs(value[None], [ctx])
+        rhs, _ = solver._hjb.batch.step_operator([ctx])(value[None])
         residual = rhs[0] - 2.0 * value
         assert np.max(np.abs(residual)) < 1e-2 * (1 + np.abs(value).max())
         assert np.all(control >= 0.0)
