@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.core.parameters import MFGCPConfig
 from repro.runtime import ExecutionPlan, ExecutorLike, as_executor
@@ -50,6 +49,10 @@ def summarise(
     name: str, samples: Sequence[float], confidence: float = 0.95
 ) -> ReplicatedStatistic:
     """Student-t confidence interval for a sample of replications."""
+    # Imported here: scipy.stats is slow to import and nothing on the
+    # solver or serving path needs it.
+    from scipy import stats
+
     values = np.asarray(list(samples), dtype=float)
     if values.size < 2:
         raise ValueError(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.core.grid import BatchGrid, StateGrid
 from repro.core.hjb import (
@@ -33,6 +32,12 @@ from repro.core.operators import (
     donor_cell_faces,
 )
 from repro.core.parameters import MFGCPConfig
+
+
+def _normal_pdf(x: np.ndarray, loc: float, scale: float) -> np.ndarray:
+    """The normal density, in ``scipy.stats.norm.pdf``'s operation order."""
+    z = (x - loc) / scale
+    return np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi) / scale
 
 
 def initial_density(
@@ -60,8 +65,8 @@ def initial_density(
         h_density = np.zeros(grid.n_h)
         h_density[grid.locate(ou_mean, 0.0)[0]] = 1.0
     else:
-        h_density = norm.pdf(grid.h, loc=ou_mean, scale=ou_std)
-    q_density = norm.pdf(grid.q, loc=mean_q, scale=std_q)
+        h_density = _normal_pdf(grid.h, ou_mean, ou_std)
+    q_density = _normal_pdf(grid.q, mean_q, std_q)
     density = np.outer(h_density, q_density)
     return grid.normalize(density)
 
@@ -171,7 +176,7 @@ class BatchedFPKSolver:
         # Donor-cell + explicit diffusion can undershoot by rounding at
         # steep fronts; clip and renormalise to keep a probability law.
         np.maximum(update, 0.0, out=update)
-        return subgrid.normalize(
+        return subgrid.rescale_mass(
             update, telemetry=self.telemetry, content_ids=content_ids
         )
 

@@ -399,7 +399,19 @@ class BatchGrid:
         density = np.asarray(density, dtype=float)
         if np.any(density < -1e-12):
             raise ValueError("density must be non-negative")
-        density = np.maximum(density, 0.0)
+        return self.rescale_mass(np.maximum(density, 0.0), telemetry, content_ids)
+
+    def rescale_mass(
+        self,
+        density: np.ndarray,
+        telemetry=None,
+        content_ids: Optional[Sequence[int]] = None,
+    ) -> np.ndarray:
+        """Rescale every lane of a non-negative ``density`` to unit mass.
+
+        :meth:`normalize` without its sign check and clip, for callers
+        that have clipped already; a zero-mass lane raises as there.
+        """
         mass = self.integrate(density)
         if np.any(mass <= 0):
             bad = int(np.flatnonzero(mass <= 0)[0])
