@@ -147,12 +147,12 @@ class StationarySolver:
         # evaluated once, not once per artificial-time step.
         step_rhs = self._hjb.batch.step_operator([ctx])
         for _ in range(max_steps):
-            rhs, control = step_rhs(value[None])
+            rhs, _ = step_rhs(value[None])
             update = dt * (rhs[0] - self.discount * value)
             value = value + update
             residual = float(np.max(np.abs(update))) / dt
             if residual < tol * (1.0 + float(np.max(np.abs(value)))):
-                return value, control[0]
+                return value, self._hjb.control_from_value(value)
         raise RuntimeError(
             f"value iteration did not converge in {max_steps} steps "
             f"(residual {residual:.3e})"

@@ -96,3 +96,16 @@ class TestInnerSolvers:
         residual = rhs[0] - 2.0 * value
         assert np.max(np.abs(residual)) < 1e-2 * (1 + np.abs(value).max())
         assert np.all(control >= 0.0)
+
+    def test_value_iteration_returns_the_control_of_its_value(self):
+        # The returned policy is the Godunov control of the returned
+        # sheet, not of the sheet one artificial-time step earlier.
+        cfg = MFGCPConfig.fast()
+        solver = StationarySolver(cfg, discount=2.0)
+        ctx = MarketContext(
+            n_requests=cfg.n_requests, price=0.6, q_other=50.0, sharing_benefit=1.0
+        )
+        value, control = solver.value_iteration(ctx)
+        np.testing.assert_array_equal(
+            control, solver._hjb.control_from_value(value)
+        )
