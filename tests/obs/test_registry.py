@@ -89,13 +89,13 @@ class TestHeadlineMetrics:
             "net.requests": {"kind": "counter", "value": 50.0},
             "net.cache_hits": {"kind": "counter", "value": 20.0},
             "solver.final_policy_change": {"kind": "gauge", "value": 1e-4},
-            "solver.n_iterations": {"kind": "gauge", "value": 13.0},
+            "solver.n_iterations": {"kind": "gauge", "value": 7.0},
         }
         out = headline_metrics(snap, wall_s=None)
         assert out["hit_ratio"] == pytest.approx(0.4)
         assert "requests_per_s" not in out
         assert out["exploitability"] == pytest.approx(1e-4)
-        assert out["n_iterations"] == 13.0
+        assert out["n_iterations"] == 7.0
 
     def test_malformed_entries_are_ignored(self):
         snap = {"serve.requests": {"kind": "counter"},

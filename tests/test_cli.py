@@ -598,7 +598,7 @@ class TestExportMetricsCommand:
     ):
         import repro.obs.metrics as metrics_mod
 
-        monkeypatch.setattr(metrics_mod, "DEFAULT_EXACT_CAP", 8)
+        monkeypatch.setattr(metrics_mod, "DEFAULT_EXACT_CAP", 4)
         run = self._run_file(tmp_path, capsys)
         assert main(["report", str(run)]) == 0
         out = capsys.readouterr().out
