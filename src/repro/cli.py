@@ -132,8 +132,9 @@ EXPERIMENT_NAMES = (
     "fig11", "fig12", "fig13", "fig14", "table2",
 )
 
-#: Subcommands that execute a run and record a manifest in the
-#: provenance registry (see :mod:`repro.obs.registry`).
+#: Subcommands that execute a run: an aborted one exits 1 or 3, and
+#: each records a manifest in the provenance registry (see
+#: :mod:`repro.obs.registry`).
 RUN_COMMANDS = ("solve", "simulate", "experiment", "serve", "serve-net")
 
 #: CLI argument names that shape *how* a run executes, not *what* it
@@ -652,7 +653,8 @@ def _telemetry_from_args(args: argparse.Namespace) -> SolverTelemetry:
     singleton must stay untouched.
 
     The chosen observer is stashed on ``args`` so the manifest
-    recorder can read its final metrics without re-deriving it.
+    recorder can read its final metrics, and an aborted run can close
+    it, without re-deriving it.
     """
     path = getattr(args, "telemetry", None)
     profile = bool(getattr(args, "profile", False))
@@ -745,47 +747,41 @@ def _close_telemetry(args: argparse.Namespace, telemetry: SolverTelemetry) -> No
         print(f"telemetry written to {args.telemetry}")
 
 
-def _strict_abort(
-    args: argparse.Namespace, telemetry: SolverTelemetry, err: Exception
-) -> int:
-    """Finish a run killed by ``--strict-numerics`` (exit 3).
+def _exit_on_run_failure(handler):
+    """Wrap a run handler so an aborted run still finishes cleanly.
 
-    The telemetry file is still closed properly — the triggering
-    ``diag.*`` event is already in the stream, which is the point.
+    ``--strict-numerics`` killing the run exits 3; a work item that
+    exhausted its retries exits 1.  Either way the live status is
+    marked failed and the telemetry file is closed properly — the
+    triggering ``diag.*`` event or the ``item.retry`` /
+    ``item.failed`` bookkeeping is already in the stream, so ``repro
+    report`` shows the full story — before the error goes to stderr.
     """
-    if telemetry.live is not None:
-        telemetry.live.finish("failed")
-    _close_telemetry(args, telemetry)
-    print(f"error: {err}", file=sys.stderr)
-    return 3
 
+    def wrapped(args: argparse.Namespace) -> int:
+        try:
+            return handler(args)
+        except StrictNumericsError as err:
+            failure, code = err, 3
+        except ItemFailedError as err:
+            failure, code = err, 1
+        telemetry = getattr(args, "_run_telemetry", None)
+        if telemetry is None:
+            telemetry = NULL_TELEMETRY
+        if telemetry.live is not None:
+            telemetry.live.finish("failed")
+        _close_telemetry(args, telemetry)
+        print(f"error: {failure}", file=sys.stderr)
+        return code
 
-def _item_failed_abort(
-    args: argparse.Namespace, telemetry: SolverTelemetry, err: ItemFailedError
-) -> int:
-    """Finish a run whose work item exhausted its retries (exit 1).
-
-    The ``item.retry`` / ``item.failed`` bookkeeping is already in the
-    telemetry stream, so the file still closes cleanly and ``repro
-    report`` shows the full story.
-    """
-    if telemetry.live is not None:
-        telemetry.live.finish("failed")
-    _close_telemetry(args, telemetry)
-    print(f"error: {err}", file=sys.stderr)
-    return 1
+    return wrapped
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     telemetry = _telemetry_from_args(args)
     executor = _executor_from_args(args, telemetry)
-    try:
-        result = MFGCPSolver(config, telemetry=telemetry, executor=executor).solve()
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
+    result = MFGCPSolver(config, telemetry=telemetry, executor=executor).solve()
     _close_telemetry(args, telemetry)
     print(result.report.describe())
     t = result.grid.t
@@ -817,20 +813,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     executor = _executor_from_args(args, telemetry)
     seeds = tuple(args.seed + i for i in range(max(1, args.seeds)))
     rows = []
-    try:
-        for name in names:
-            summary = experiments.run_scheme_summary(
-                name, config, args.edps, seeds=seeds, telemetry=telemetry,
-                executor=executor,
-            )
-            rows.append(
-                (name, summary["total"], summary["trading_income"],
-                 summary["staleness_cost"])
-            )
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
+    for name in names:
+        summary = experiments.run_scheme_summary(
+            name, config, args.edps, seeds=seeds, telemetry=telemetry,
+            executor=executor,
+        )
+        rows.append(
+            (name, summary["total"], summary["trading_income"],
+             summary["staleness_cost"])
+        )
     _close_telemetry(args, telemetry)
     rows.sort(key=lambda r: -r[1])
     print(format_table(
@@ -844,13 +835,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args)
     executor = _executor_from_args(args, telemetry)
-    try:
-        with telemetry.span(f"experiment_{args.name}"):
-            code = _run_experiment(args, telemetry, executor)
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
+    with telemetry.span(f"experiment_{args.name}"):
+        code = _run_experiment(args, telemetry, executor)
     _close_telemetry(args, telemetry)
     return code
 
@@ -1358,10 +1344,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             stream_state_dir=stream_state_dir,
         )
         reports = engine.compare(names)
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
     except ValueError as err:
         _close_telemetry(args, telemetry)
         print(f"error: {err}", file=sys.stderr)
@@ -1460,10 +1442,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             stream_chunk=args.stream_chunk,
         )
         reports = engine.compare(names)
-    except StrictNumericsError as err:
-        return _strict_abort(args, telemetry, err)
-    except ItemFailedError as err:
-        return _item_failed_abort(args, telemetry, err)
     except ValueError as err:
         _close_telemetry(args, telemetry)
         print(f"error: {err}", file=sys.stderr)
@@ -1574,8 +1552,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "stationary": _cmd_stationary,
     }
     handler = handlers[args.command]
-    if args.command in RUN_COMMANDS and _registry_enabled(args):
-        handler = _with_run_manifest(handler, raw_argv)
+    if args.command in RUN_COMMANDS:
+        handler = _exit_on_run_failure(handler)
+        if _registry_enabled(args):
+            handler = _with_run_manifest(handler, raw_argv)
     spec = getattr(args, "inject_faults", None)
     if spec is None:
         return handler(args)

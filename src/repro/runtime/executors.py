@@ -1,16 +1,22 @@
 """Pluggable execution backends for :class:`~repro.runtime.plan.ExecutionPlan`.
 
-Two backends ship:
+Every backend runs its items through one loop, :func:`dispatch`:
 
-* :class:`SerialExecutor` — runs items in-process, in order.  The
-  default everywhere; zero overhead, trivially deterministic.
-* :class:`ParallelExecutor` — fans items out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with a configurable
-  worker count and map chunk size.  Results and telemetry are merged
-  in *item* order, so output is bit-identical to the serial backend.
+* with one worker, or at most one item, items run in-process, in plan
+  order, each to success or a settled failure before the next starts;
+* otherwise each item is submitted on its own to one
+  :class:`concurrent.futures.ProcessPoolExecutor` and handled as it
+  lands.
 
-Pick one with :func:`make_executor`, which parses the CLI-style specs
-``"serial"``, ``"process"``, and ``"process:4"``.
+Two backends ship: :class:`SerialExecutor` (one worker; the default
+everywhere) and :class:`ParallelExecutor` (a process pool with a
+configurable worker count).  Results and telemetry are merged in
+*item* order, so output is bit-identical across backends.  The
+resumable wrapper (:mod:`repro.runtime.resumable`) drives the same
+loop with checkpoint and retry hooks.
+
+Pick a backend with :func:`make_executor`, which parses the CLI-style
+specs ``"serial"``, ``"process"``, and ``"process:4"``.
 
 No fan-out site outside this module touches ``concurrent.futures`` or
 ``multiprocessing`` directly — the solver, the experiment harness,
@@ -23,10 +29,10 @@ from __future__ import annotations
 import abc
 import os
 from functools import partial
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
-from repro.runtime.plan import ExecutionPlan, ItemOutcome, execute_item
+from repro.runtime.plan import ExecutionPlan, ItemOutcome, WorkItem, execute_item
 from repro.runtime.runinfo import note_plan
 
 ProgressCallback = Callable[[ItemOutcome], None]
@@ -40,6 +46,84 @@ influence results — outcomes still merge in item order regardless.
 
 def _default_workers() -> int:
     return max(1, os.cpu_count() or 1)
+
+
+def dispatch(
+    items: Sequence[WorkItem],
+    workers: int,
+    landed: Callable[[WorkItem, ItemOutcome], None],
+    failed: Callable[[WorkItem, int, Exception], Optional[int]],
+    capture: bool = False,
+    profile: bool = False,
+    strict_numerics: bool = False,
+) -> None:
+    """Run every item, reporting each success and each failed attempt.
+
+    ``landed(item, outcome)`` is called once per success, in completion
+    order.  ``failed(item, attempt, exc)`` is called once per failed
+    attempt (``attempt`` is 0-based); it returns the next attempt
+    number to run, returns ``None`` to settle the item without an
+    outcome, or raises to abort the run.
+
+    With one worker, or at most one item, items run in-process in plan
+    order, each to success or a settled failure before the next starts.
+    Otherwise every item is submitted on its own to one process pool.
+    When a hook raises there, queued items are cancelled and the ones
+    already running are let finish: their successes still reach
+    ``landed`` (a checkpointing hook keeps them) before the error
+    propagates, and their failures are ignored.
+    """
+    run = partial(
+        execute_item,
+        capture=capture,
+        profile=profile,
+        strict_numerics=strict_numerics,
+    )
+    if workers <= 1 or len(items) <= 1:
+        # Nothing to overlap; skip the pool spin-up entirely.
+        for item in items:
+            attempt: Optional[int] = 0
+            while attempt is not None:
+                try:
+                    outcome = run(item, attempt=attempt)
+                except Exception as exc:
+                    attempt = failed(item, attempt, exc)
+                else:
+                    landed(item, outcome)
+                    attempt = None
+        return
+
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        in_flight = {pool.submit(run, item, attempt=0): (item, 0) for item in items}
+        try:
+            while in_flight:
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    item, attempt = in_flight.pop(future)
+                    exc = future.exception()
+                    if exc is None:
+                        landed(item, future.result())
+                        continue
+                    retry = failed(item, attempt, exc)
+                    if retry is not None:
+                        future = pool.submit(run, item, attempt=retry)
+                        in_flight[future] = (item, retry)
+        except Exception:
+            # Siblings already on a worker may be seconds from
+            # finishing: let them land so --resume keeps their work.
+            running = [future for future in in_flight if not future.cancel()]
+            wait(running)
+            for future in running:
+                if future.exception() is None:
+                    landed(in_flight[future][0], future.result())
+            raise
+        except BaseException:
+            # KeyboardInterrupt and friends: get out fast.
+            for future in in_flight:
+                future.cancel()
+            raise
 
 
 def live_progress(
@@ -68,14 +152,20 @@ def live_progress(
 
 
 class Executor(abc.ABC):
-    """A strategy for running every item of an execution plan."""
+    """A strategy for running every item of an execution plan.
+
+    A backend names itself with :attr:`spec` and sets :attr:`workers`,
+    the process count :func:`dispatch` may fan out over (1 runs items
+    in-process).
+    """
+
+    workers: int = 1
 
     @property
     @abc.abstractmethod
     def spec(self) -> str:
         """The ``make_executor`` spec string that reproduces this backend."""
 
-    @abc.abstractmethod
     def execute(
         self,
         plan: ExecutionPlan,
@@ -91,8 +181,25 @@ class Executor(abc.ABC):
         configure that buffered observer to match the parent's.
         ``progress`` is called once per completed item as completions
         happen (completion order on parallel backends) — a live-status
-        hook that must never affect results.
+        hook that must never affect results.  The first failure to
+        land raises that item's own exception.
         """
+        outcomes: List[ItemOutcome] = []
+
+        def landed(item: WorkItem, outcome: ItemOutcome) -> None:
+            outcomes.append(outcome)
+            if progress is not None:
+                progress(outcome)
+
+        def failed(item: WorkItem, attempt: int, exc: Exception) -> Optional[int]:
+            raise exc
+
+        dispatch(
+            plan.items, self.workers, landed, failed,
+            capture, profile, strict_numerics,
+        )
+        outcomes.sort(key=lambda outcome: outcome.index)
+        return outcomes
 
     def run(
         self,
@@ -141,24 +248,6 @@ class SerialExecutor(Executor):
     def spec(self) -> str:
         return "serial"
 
-    def execute(
-        self,
-        plan: ExecutionPlan,
-        capture: bool = False,
-        profile: bool = False,
-        strict_numerics: bool = False,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[ItemOutcome]:
-        outcomes = []
-        for item in plan:
-            outcome = execute_item(
-                item, capture, profile=profile, strict_numerics=strict_numerics
-            )
-            if progress is not None:
-                progress(outcome)
-            outcomes.append(outcome)
-        return outcomes
-
 
 class ParallelExecutor(Executor):
     """Fan items out over a process pool.
@@ -167,10 +256,6 @@ class ParallelExecutor(Executor):
     ----------
     workers:
         Pool size; defaults to ``os.cpu_count()``.
-    chunksize:
-        Items handed to a worker per dispatch (the
-        ``ProcessPoolExecutor.map`` chunk size).  Larger chunks
-        amortise pickling overhead when items are many and cheap.
 
     Work items must be picklable: module-level functions closing over
     configs and seeds, never bound methods holding live trackers or
@@ -179,60 +264,14 @@ class ParallelExecutor(Executor):
     by item index before results or telemetry reach the caller.
     """
 
-    def __init__(self, workers: Optional[int] = None, chunksize: int = 1) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = _default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
-        self.chunksize = int(chunksize)
-        if self.chunksize < 1:
-            raise ValueError(f"chunksize must be positive, got {chunksize}")
 
     @property
     def spec(self) -> str:
         return f"process:{self.workers}"
-
-    def execute(
-        self,
-        plan: ExecutionPlan,
-        capture: bool = False,
-        profile: bool = False,
-        strict_numerics: bool = False,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[ItemOutcome]:
-        if len(plan) <= 1 or self.workers == 1:
-            # Nothing to overlap; skip the pool spin-up entirely.
-            outcomes = []
-            for item in plan:
-                outcome = execute_item(
-                    item, capture, profile=profile, strict_numerics=strict_numerics
-                )
-                if progress is not None:
-                    progress(outcome)
-                outcomes.append(outcome)
-            return outcomes
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(plan))) as pool:
-            outcomes = []
-            # ``map`` yields in input order but *incrementally*, so the
-            # progress hook fires while later chunks are still running.
-            for outcome in pool.map(
-                partial(
-                    execute_item,
-                    capture=capture,
-                    profile=profile,
-                    strict_numerics=strict_numerics,
-                ),
-                plan.items,
-                chunksize=self.chunksize,
-            ):
-                if progress is not None:
-                    progress(outcome)
-                outcomes.append(outcome)
-        # `map` preserves input order already; sort defensively so the
-        # deterministic-merge contract never rests on pool internals.
-        outcomes.sort(key=lambda outcome: outcome.index)
-        return outcomes
 
 
 ExecutorLike = Union[Executor, str, None]

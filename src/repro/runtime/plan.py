@@ -258,19 +258,19 @@ def execute_item(
 ) -> ItemOutcome:
     """Run one work item, optionally under a buffered telemetry.
 
-    This is the single entry point every backend funnels through — in
-    the parent process for :class:`~repro.runtime.executors.SerialExecutor`,
-    inside pool workers for the process backend — so both observe
+    This is the single entry point every backend funnels through, via
+    :func:`~repro.runtime.executors.dispatch` — in the parent process
+    with one worker, inside pool workers otherwise — so both observe
     identical semantics: per-item RNG injection, per-item buffered
     telemetry, one :class:`ItemOutcome` back.  ``profile`` and
     ``strict_numerics`` mirror the parent telemetry's settings onto the
     per-item buffered observer, so worker spans carry resource fields
     and error-severity diagnostics fail fast inside workers too.
 
-    ``attempt`` is the 0-based retry attempt number, threaded in by
-    :class:`~repro.runtime.resumable.ResumableExecutor` so the fault
-    harness can distinguish transient (first-attempt-only) from
-    permanent failures; plain executors always run attempt 0.
+    ``attempt`` is the 0-based retry attempt number, threaded in when
+    :class:`~repro.runtime.resumable.ResumableExecutor` retries, so
+    the fault harness can distinguish transient (first-attempt-only)
+    from permanent failures; plain executors always run attempt 0.
     """
     _apply_fault_injection(item, attempt)
     telemetry = (

@@ -23,6 +23,11 @@ produces:
   :class:`ItemFailedError`), ``skip`` records a ``None`` result and
   carries on, ``degrade`` substitutes the policy's ``fallback`` value.
 
+Items run through the same :func:`~repro.runtime.executors.dispatch`
+loop as the plain backends, with the checkpoint commit as its
+success hook and retry/exhaustion as its failure hook; only the
+cache pre-pass, the bookkeeping and the store live here.
+
 Bookkeeping is surfaced as ``item.cached`` / ``item.retry`` /
 ``item.failed`` telemetry events plus ``runtime.items_*`` counters,
 rendered by ``repro report`` (see ``docs/observability.md``).
@@ -47,11 +52,11 @@ from repro.runtime.checkpoint import (
 from repro.runtime.executors import (
     Executor,
     ExecutorLike,
-    ParallelExecutor,
     ProgressCallback,
     as_executor,
+    dispatch,
 )
-from repro.runtime.plan import ExecutionPlan, ItemOutcome, WorkItem, execute_item
+from repro.runtime.plan import ExecutionPlan, ItemOutcome, WorkItem
 
 ON_EXHAUST_MODES = ("fail", "skip", "degrade")
 
@@ -158,10 +163,10 @@ class ResumableExecutor(Executor):
     ----------
     inner:
         The wrapped backend — an :class:`~repro.runtime.Executor`, a
-        spec string (``"process:4"``), or ``None`` for serial.  A
-        :class:`ParallelExecutor` inner keeps fanning out over a
-        process pool (with incremental checkpointing and parent-side
-        retry resubmission); anything else runs items in order
+        spec string (``"process:4"``), or ``None`` for serial.  Its
+        worker count picks the dispatch path: more than one fans out
+        over a process pool (with incremental checkpointing and
+        parent-side retry resubmission); one runs items in order
         in-process.
     store:
         Optional :class:`CheckpointStore`; without one, only the
@@ -187,6 +192,7 @@ class ResumableExecutor(Executor):
         self.inner = as_executor(inner)
         if isinstance(self.inner, ResumableExecutor):
             raise ValueError("refusing to nest ResumableExecutor wrappers")
+        self.workers = self.inner.workers
         self.store = store
         self.policy = policy if policy is not None else FaultPolicy()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -247,18 +253,27 @@ class ResumableExecutor(Executor):
             else:
                 pending.append(item)
 
+        def landed(item: WorkItem, outcome: ItemOutcome) -> None:
+            self._commit(item, keys[item.index], outcome)
+            outcomes[item.index] = outcome
+            if progress is not None:
+                progress(outcome)
+
+        def failed(item: WorkItem, attempt: int, exc: Exception) -> Optional[int]:
+            if self.policy.should_retry(exc, attempt):
+                self._note_retry(item, attempt, exc, notes)
+                delay = self.policy.delay(attempt)
+                if delay > 0:
+                    self._sleep(delay)
+                return attempt + 1
+            outcomes[item.index] = self._exhausted(item, attempt + 1, exc, notes)
+            return None
+
         try:
-            if pending:
-                run_parallel = (
-                    isinstance(self.inner, ParallelExecutor)
-                    and self.inner.workers > 1
-                    and len(pending) > 1
-                )
-                runner = self._run_parallel if run_parallel else self._run_serial
-                runner(
-                    pending, keys, outcomes, notes, capture, profile,
-                    strict_numerics, progress,
-                )
+            dispatch(
+                pending, self.workers, landed, failed,
+                capture, profile, strict_numerics,
+            )
         finally:
             # Flush even when an exhausted item aborts the run: the
             # dying run's stream then records what was cached/retried.
@@ -393,145 +408,3 @@ class ResumableExecutor(Executor):
         live = getattr(self.telemetry, "live", None)
         if live is not None:
             live.note_retry(item.label)
-
-    # -- serial path ---------------------------------------------------
-    def _run_serial(
-        self,
-        pending: List[WorkItem],
-        keys: Dict[int, Optional[str]],
-        outcomes: Dict[int, ItemOutcome],
-        notes: Dict[int, _ItemNotes],
-        capture: bool,
-        profile: bool,
-        strict_numerics: bool,
-        progress: Optional[ProgressCallback] = None,
-    ) -> None:
-        for item in pending:
-            attempt = 0
-            while True:
-                try:
-                    outcome = execute_item(
-                        item,
-                        capture,
-                        profile=profile,
-                        strict_numerics=strict_numerics,
-                        attempt=attempt,
-                    )
-                except Exception as exc:
-                    if self.policy.should_retry(exc, attempt):
-                        self._note_retry(item, attempt, exc, notes)
-                        delay = self.policy.delay(attempt)
-                        if delay > 0:
-                            self._sleep(delay)
-                        attempt += 1
-                        continue
-                    outcomes[item.index] = self._exhausted(
-                        item, attempt + 1, exc, notes
-                    )
-                    break
-                self._commit(item, keys[item.index], outcome)
-                outcomes[item.index] = outcome
-                if progress is not None:
-                    progress(outcome)
-                break
-
-    # -- parallel path -------------------------------------------------
-    def _run_parallel(
-        self,
-        pending: List[WorkItem],
-        keys: Dict[int, Optional[str]],
-        outcomes: Dict[int, ItemOutcome],
-        notes: Dict[int, _ItemNotes],
-        capture: bool,
-        profile: bool,
-        strict_numerics: bool,
-        progress: Optional[ProgressCallback] = None,
-    ) -> None:
-        """Fan pending items over a pool, checkpointing as they land.
-
-        Unlike the plain :class:`ParallelExecutor` (which drains a
-        ``pool.map``), items are submitted individually so each
-        success is persisted the moment it completes and each failure
-        can be resubmitted (retried) without losing siblings' work.
-        Results are still keyed by item index, so ordering — and hence
-        the merged telemetry — is identical to the serial path.
-        """
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-        workers = min(self.inner.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-
-            def submit(item: WorkItem, attempt: int):
-                return pool.submit(
-                    execute_item,
-                    item,
-                    capture,
-                    profile=profile,
-                    strict_numerics=strict_numerics,
-                    attempt=attempt,
-                )
-
-            in_flight = {submit(item, 0): (item, 0) for item in pending}
-            try:
-                while in_flight:
-                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        item, attempt = in_flight.pop(future)
-                        exc = future.exception()
-                        if exc is None:
-                            outcome = future.result()
-                            self._commit(item, keys[item.index], outcome)
-                            outcomes[item.index] = outcome
-                            if progress is not None:
-                                progress(outcome)
-                        elif self.policy.should_retry(exc, attempt):
-                            self._note_retry(item, attempt, exc, notes)
-                            delay = self.policy.delay(attempt)
-                            if delay > 0:
-                                self._sleep(delay)
-                            in_flight[submit(item, attempt + 1)] = (
-                                item,
-                                attempt + 1,
-                            )
-                        else:
-                            outcomes[item.index] = self._exhausted(
-                                item, attempt + 1, exc, notes
-                            )
-            except Exception:
-                # A fatal item aborts the run, but siblings already on
-                # a worker may be seconds from finishing — let them
-                # land in the checkpoint store so --resume keeps them.
-                self._drain_in_flight(in_flight, keys, outcomes)
-                raise
-            except BaseException:
-                # KeyboardInterrupt and friends: get out fast.
-                for future in in_flight:
-                    future.cancel()
-                raise
-
-    def _drain_in_flight(
-        self,
-        in_flight: Dict[Any, Tuple[WorkItem, int]],
-        keys: Dict[int, Optional[str]],
-        outcomes: Dict[int, ItemOutcome],
-    ) -> None:
-        """Commit whatever still completes while the run is aborting.
-
-        Queued futures are cancelled; already-running ones are allowed
-        to finish so their outcomes reach the store.  Their failures
-        are ignored — the run is aborting with the original error.
-        """
-        if self.store is None:
-            for future in in_flight:
-                future.cancel()
-            return
-        from concurrent.futures import wait
-
-        running = [future for future in in_flight if not future.cancel()]
-        wait(running)
-        for future in running:
-            item, _ = in_flight[future]
-            if future.exception() is None:
-                outcome = future.result()
-                self._commit(item, keys[item.index], outcome)
-                outcomes[item.index] = outcome

@@ -21,6 +21,12 @@ def draw_normal(offset, rng=None):
     return offset + float(rng.standard_normal())
 
 
+def fail_on(x, bad):
+    if x == bad:
+        raise ValueError(f"bad item {x}")
+    return x
+
+
 def record_work(tag, telemetry=None):
     with telemetry.span("work"):
         telemetry.inc("items.done")
@@ -39,6 +45,16 @@ class TestOrdering:
         plan = ExecutionPlan.map(square, [(i,) for i in range(5)])
         outcomes = executor.execute(plan)
         assert [o.index for o in outcomes] == list(range(5))
+
+
+class TestFailure:
+    @pytest.mark.parametrize("executor", BACKENDS, ids=IDS)
+    def test_failing_item_raises_its_own_exception(self, executor):
+        plan = ExecutionPlan.map(fail_on, [(i, 2) for i in range(4)])
+        with pytest.raises(ValueError, match="bad item 2") as excinfo:
+            executor.run(plan)
+        # A plain backend does not wrap the error (no ItemFailedError).
+        assert type(excinfo.value) is ValueError
 
 
 class TestDeterminism:

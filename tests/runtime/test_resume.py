@@ -20,6 +20,7 @@ from repro.runtime import (
     ItemFailedError,
     ParallelExecutor,
     ResumableExecutor,
+    SerialExecutor,
     item_key,
 )
 from repro.testing import clear_faults, install_faults
@@ -292,6 +293,41 @@ class TestParallel:
         assert pickle.dumps([o.result for o in resumed]) == pickle.dumps(
             [o.result for o in clean]
         )
+
+
+PROGRESS_BACKENDS = {
+    "serial": lambda store: SerialExecutor(),
+    "process:2": lambda store: ParallelExecutor(workers=2),
+    "resumable[serial]": lambda store: ResumableExecutor("serial", store=store),
+    "resumable[process:2]": lambda store: ResumableExecutor(
+        ParallelExecutor(workers=2), store=store
+    ),
+}
+
+
+class TestProgress:
+    @pytest.mark.parametrize("backend", list(PROGRESS_BACKENDS))
+    def test_fires_once_per_item(self, tmp_path, backend):
+        executor = PROGRESS_BACKENDS[backend](CheckpointStore(tmp_path / "ckpt"))
+        seen = []
+        executor.execute(
+            make_plan(tmp_path), progress=lambda outcome: seen.append(outcome.index)
+        )
+        assert sorted(seen) == list(range(5))
+
+    @pytest.mark.parametrize("inner", ["serial", "process:2"])
+    def test_resumed_run_reports_cached_items_too(self, tmp_path, inner):
+        store = CheckpointStore(tmp_path / "ckpt")
+        install_faults("raise:item=3,times=-1")
+        with pytest.raises(ItemFailedError):
+            ResumableExecutor(inner, store=store).execute(make_plan(tmp_path))
+        clear_faults()
+        assert len(store) >= 1
+        seen = []
+        ResumableExecutor(inner, store=store).execute(
+            make_plan(tmp_path), progress=lambda outcome: seen.append(outcome.index)
+        )
+        assert sorted(seen) == list(range(5))
 
 
 class TestCorruptCheckpoints:
