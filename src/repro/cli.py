@@ -97,6 +97,7 @@ import csv
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -1269,26 +1270,42 @@ def _cmd_export_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    # Imported lazily: the serve stack is only needed by this command.
-    from repro.content import workloads
-    from repro.serve import POLICY_NAMES, ServingEngine, REPORT_HEADERS
-    from repro.serve.report import comparison_rows, export_serving_reports
+def _replay_comparison(
+    args: argparse.Namespace,
+    spec: str,
+    all_names: Sequence[str],
+    noun: str,
+    config: MFGCPConfig,
+    n_edps: int,
+    rate_per_edp: float,
+    alpha: float,
+    canned_workload,
+    make_engine,
+):
+    """The set-up ``serve`` and ``serve-net`` share, then the comparison.
+
+    Parses the ``--policy`` / ``--strategy`` list ``spec`` (``all``
+    names every one), builds the request stream (a ``--stream``
+    generator, or the canned workload through the fixed stream), the
+    observer and the executor, then ``make_engine(workload, stream=...,
+    ...)`` with the options both planes take, and compares the names.
+    Returns ``(engine, reports)``, or exit code 2 after printing a
+    malformed-input error.
+    """
     from repro.serve.stream import make_stream, stream_workload, workload_stream
 
-    spec = args.policy.strip().lower()
-    names = list(POLICY_NAMES) if spec == "all" else [
+    spec = spec.strip().lower()
+    names = list(all_names) if spec == "all" else [
         s.strip() for s in spec.split(",") if s.strip()
     ]
     if not names:
-        print("error: no serving policy given", file=sys.stderr)
+        print(f"error: no {noun} given", file=sys.stderr)
         return 2
-    config = MFGCPConfig.fast()
     geometry = dict(
-        n_edps=args.edps,
+        n_edps=n_edps,
         n_slots=args.slots,
         dt=config.horizon / args.slots,
-        rate_per_edp=args.requests / (config.horizon * args.edps),
+        rate_per_edp=rate_per_edp,
         seed=args.seed,
         warmup_slots=args.warmup_slots,
     )
@@ -1298,24 +1315,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             stream = make_stream(
                 args.stream,
                 n_contents=args.contents,
-                alpha=args.zipf_alpha,
+                alpha=alpha,
                 trace_path=args.trace_file,
                 **geometry,
             )
             workload = stream_workload(stream)
         else:
-            if args.workload == "video_marketplace":
-                workload = workloads.video_marketplace(
-                    n_contents=args.contents, seed=args.seed
-                )
-            elif args.workload == "traffic_information":
-                workload = workloads.traffic_information(
-                    n_roads=args.contents, seed=args.seed
-                )
-            else:
-                workload, _ = workloads.news_cycle(
-                    n_contents=args.contents, seed=args.seed
-                )
+            workload = canned_workload()
             stream = workload_stream(workload, **geometry)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -1323,15 +1329,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     telemetry = _telemetry_from_args(args)
     executor = _executor_from_args(args, telemetry)
-    stream_state_dir = None
-    if getattr(args, "checkpoint_dir", None):
-        from repro.runtime.checkpoint import stream_state_dir as _state_dir
-
-        stream_state_dir = _state_dir(args.checkpoint_dir)
     try:
-        engine = ServingEngine(
+        engine = make_engine(
             workload,
-            args.edps,
             stream=stream,
             config=config,
             capacity_fraction=args.capacity_fraction,
@@ -1341,7 +1341,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             solver_batching=args.solver_batching,
             batch_size=args.batch_size,
             stream_chunk=args.stream_chunk,
-            stream_state_dir=stream_state_dir,
         )
         reports = engine.compare(names)
     except ValueError as err:
@@ -1349,6 +1348,45 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     _close_telemetry(args, telemetry)
+    return engine, reports
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    # Imported lazily: the serve stack is only needed by this command.
+    from repro.content import workloads
+    from repro.serve import POLICY_NAMES, ServingEngine, REPORT_HEADERS
+    from repro.serve.report import comparison_rows, export_serving_reports
+
+    def canned_workload():
+        if args.workload == "video_marketplace":
+            return workloads.video_marketplace(
+                n_contents=args.contents, seed=args.seed
+            )
+        if args.workload == "traffic_information":
+            return workloads.traffic_information(
+                n_roads=args.contents, seed=args.seed
+            )
+        return workloads.news_cycle(n_contents=args.contents, seed=args.seed)[0]
+
+    stream_state_dir = None
+    if getattr(args, "checkpoint_dir", None):
+        from repro.runtime.checkpoint import stream_state_dir as _state_dir
+
+        stream_state_dir = _state_dir(args.checkpoint_dir)
+    config = MFGCPConfig.fast()
+    outcome = _replay_comparison(
+        args, args.policy, POLICY_NAMES, "serving policy", config,
+        n_edps=args.edps,
+        rate_per_edp=args.requests / (config.horizon * args.edps),
+        alpha=args.zipf_alpha,
+        canned_workload=canned_workload,
+        make_engine=partial(
+            ServingEngine, n_edps=args.edps, stream_state_dir=stream_state_dir
+        ),
+    )
+    if isinstance(outcome, int):
+        return outcome
+    _, reports = outcome
     workload_label = f"stream:{args.stream}" if args.stream else args.workload
     print(format_table(
         list(REPORT_HEADERS),
@@ -1376,77 +1414,36 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         network_comparison_rows,
         parse_topology,
     )
-    from repro.serve.stream import make_stream, stream_workload, workload_stream
 
-    spec = args.strategy.strip().lower()
-    names = list(STRATEGY_NAMES) if spec == "all" else [
-        s.strip() for s in spec.split(",") if s.strip()
-    ]
-    if not names:
-        print("error: no placement strategy given", file=sys.stderr)
-        return 2
     try:
         topology = parse_topology(args.topology, seed=args.topology_seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    config = MFGCPConfig.fast()
-    geometry = dict(
+    outcome = _replay_comparison(
+        args, args.strategy, STRATEGY_NAMES, "placement strategy",
+        MFGCPConfig.fast(),
         n_edps=args.replicas * topology.n_receivers,
-        n_slots=args.slots,
-        dt=config.horizon / args.slots,
         rate_per_edp=args.rate,
-        seed=args.seed,
-        warmup_slots=args.warmup_slots,
-    )
-    try:
-        if args.stream:
-            stream = make_stream(
-                args.stream,
-                n_contents=args.contents,
-                alpha=args.alpha,
-                trace_path=args.trace_file,
-                **geometry,
-            )
-            workload = stream_workload(stream)
-        else:
-            workload = zipf_workload(
-                n_contents=args.contents,
-                alpha=args.alpha,
-                rate_per_edp=args.rate,
-                seed=args.seed,
-            )
-            stream = workload_stream(workload, **geometry)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-    telemetry = _telemetry_from_args(args)
-    executor = _executor_from_args(args, telemetry)
-    try:
-        engine = NetworkReplayEngine(
-            workload,
-            topology,
-            stream=stream,
-            config=config,
-            capacity_fraction=args.capacity_fraction,
+        alpha=args.alpha,
+        canned_workload=lambda: zipf_workload(
+            n_contents=args.contents,
+            alpha=args.alpha,
+            rate_per_edp=args.rate,
+            seed=args.seed,
+        ),
+        make_engine=partial(
+            NetworkReplayEngine,
+            topology=topology,
             node_capacity_mb=args.node_capacity,
             n_replicas=args.replicas,
-            shards=args.shards,
             queue_capacity=args.queue_capacity,
             queue_service_rate=args.queue_rate,
-            executor=executor,
-            telemetry=telemetry,
-            solver_batching=args.solver_batching,
-            batch_size=args.batch_size,
-            stream_chunk=args.stream_chunk,
-        )
-        reports = engine.compare(names)
-    except ValueError as err:
-        _close_telemetry(args, telemetry)
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    _close_telemetry(args, telemetry)
+        ),
+    )
+    if isinstance(outcome, int):
+        return outcome
+    engine, reports = outcome
     print(format_table(
         list(NET_REPORT_HEADERS),
         network_comparison_rows(reports),

@@ -19,6 +19,13 @@ replays its EDPs one bounded-memory chunk at a time.  Results and
 merged telemetry are bit-identical across ``serial`` and any
 ``process:N`` backend, across shard counts, and across chunk sizes.
 
+The driver around the work item is :class:`ReplayEngine`, shared with
+the network plane's :class:`~repro.serve.net.engine.NetworkReplayEngine`:
+constructor checks, the equilibrium fan-out, the shard plan, live
+progress, the dropped-shard warning and ``compare``.  Each plane adds
+its work item, its replay recipe, its policy or strategy builder and
+its report fold, and names what it emits as class data.
+
 Serving semantics (documented in ``docs/serving.md``)
 -----------------------------------------------------
 * A request for a cached content is a **hit**: served at the edge
@@ -41,7 +48,7 @@ import hashlib
 import os
 import pickle
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -270,8 +277,9 @@ def _replay_edp_chunks(
     re-entry, so a killed work item resumes mid-EDP instead of
     recomputing from slot 0; per-slot RNG keying means no generator
     state needs saving.  The chunk loop also consults the active fault
-    plan under the label ``serve:<policy>:edp<e>:chunk<c>``, letting
-    the test harness kill a replay between specific chunks.
+    plan under the label ``serve:<policy>:edp<e>:chunk<c>`` (matched by
+    label only), letting the test harness kill a replay between
+    specific chunks.
     """
     stream = spec.stream
     chunk_slots = spec.chunk_slots if spec.chunk_slots > 0 else stream.n_slots
@@ -328,9 +336,10 @@ def _replay_edp_chunks(
     n_chunks = stream.n_chunks(chunk_slots)
     for chunk_index in range(start_chunk, n_chunks):
         if faults is not None:
+            # No item index: chunk checks match rules by label only,
+            # so an ``item=N`` rule never fires on chunk N.
             faults.before_item(
-                chunk_index,
-                f"serve:{policy.name}:edp{edp}:chunk{chunk_index}",
+                None, f"serve:{policy.name}:edp{edp}:chunk{chunk_index}"
             )
         chunk = stream.chunk(edp, chunk_index, chunk_slots)
         offsets = chunk.offsets()
@@ -492,58 +501,221 @@ def replay_shard(
     return results
 
 
-def set_live_stream(live, stream: RequestStream, chunk_slots: int) -> None:
-    """Record one replay's stream geometry on a live status writer.
+class ReplayEngine:
+    """The replay driver both serving planes share.
 
-    The expected volume counts measured slots only, because replays
-    fold no warmup request into the counters progress is read from.
+    A plane extends it with its per-shard work item and the names it
+    emits, both as class data (below), plus :meth:`spec` (the picklable
+    recipe each shard receives), ``_build`` (a policy or strategy from
+    its name) and ``_report`` (the surviving shards' results, in item
+    order, folded into the plane's report).  Everything else lives here
+    once: the constructor checks both planes make, the equilibrium
+    fan-out, the shard plan, live progress, the dropped-shard warning
+    and :meth:`compare`.
     """
-    chunk = chunk_slots or stream.n_slots
-    live.set_stream(
-        workload=type(stream).__name__,
-        chunk_slots=chunk,
-        n_chunks=stream.n_chunks(chunk),
-        expected_requests=stream.expected_measured_requests(),
-    )
 
+    # Prefix of the emitted names: plan labels <scope>:<name>:shard<i>,
+    # spans <scope>_replay_<name> and <scope>_solve_equilibria, the
+    # <scope>.shard_dropped diag and equilibrium items <scope>_eq:...
+    scope: str
+    live_phase: str  # the live status phase; "{}" takes the name
+    decider_type: type  # the policy or strategy base class
+    decider_field: str  # the diag field naming a policy or strategy
+    deciders: str  # their plural, for errors
+    shard_noun: str  # what the dropped-shard warning calls a shard
+    work_item: Callable[..., list]  # module-level, so it pickles
+    units_attr: str  # the attribute counting the units shards split
+    hits_attr: str  # the per-unit stats counter the live hit ratio reads
 
-def equilibrium_configs(
-    config: MFGCPConfig, workload: Workload, stream: RequestStream
-) -> Dict[int, MFGCPConfig]:
-    """One solver config per content id, specialised to its demand share.
+    def __init__(
+        self,
+        workload: Workload,
+        stream: RequestStream,
+        n_units: int,
+        *,
+        config: Optional[MFGCPConfig],
+        shards: Optional[int],
+        executor: ExecutorLike,
+        telemetry: SolverTelemetry,
+        solver_batching: bool,
+        batch_size: int,
+        stream_chunk: int,
+    ) -> None:
+        if stream_chunk < 0:
+            raise ValueError(
+                f"stream_chunk must be non-negative, got {stream_chunk}"
+            )
+        if solver_batching and batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        self.solver_batching = bool(solver_batching)
+        self.batch_size = int(batch_size)
+        self.workload = workload
+        self.config = config if config is not None else MFGCPConfig.fast()
+        self.executor = as_executor(executor)
+        self.telemetry = telemetry
+        self.shards = min(n_units, 8) if shards is None else int(shards)
+        if self.shards < 1:
+            raise ValueError(f"shards must be positive, got {shards}")
 
-    Each content gets the base config specialised to its popularity
-    share, size, and expected per-EDP request rate — the same
-    per-content independence the Alg. 1 epoch loop exploits.  Shared
-    by :class:`ServingEngine` and the network replay engine so both
-    planes solve identical equilibria for identical workloads.
-    """
-    model = workload.timeliness_model
-    timeliness = float(min(model.mean(), model.l_max))
-    return {
-        k: replace(
-            config,
-            popularity=float(np.clip(p, 0.0, 1.0)),
-            content_size=float(workload.catalog[k].size_mb),
-            n_requests=float(stream.rate_per_edp) * float(p),
-            timeliness=timeliness,
+        catalog = workload.catalog
+        if len(catalog) == 0:
+            raise ValueError("workload catalog has no contents")
+        if stream.n_contents != len(catalog):
+            raise ValueError(
+                f"stream catalog of {stream.n_contents} contents does not "
+                f"match the workload's {len(catalog)}"
+            )
+        self.sizes_mb = tuple(float(c.size_mb) for c in catalog)
+        self.update_periods = tuple(float(c.update_period) for c in catalog)
+        self.stream = stream
+        self.stream_chunk = int(stream_chunk)
+        self._equilibria: Optional[Dict[int, EquilibriumResult]] = None
+
+    def _capacity(
+        self, fraction: float, absolute: Optional[float], noun: str
+    ) -> float:
+        """Cache size per node: absolute when given, else a catalog share."""
+        if not 0.0 < fraction <= 1.0 and absolute is None:
+            raise ValueError(
+                f"capacity_fraction must lie in (0, 1], got {fraction}"
+            )
+        capacity = (
+            float(absolute) if absolute is not None
+            else fraction * sum(self.sizes_mb)
         )
-        for k, p in enumerate(stream.popularity)
-    }
+        if capacity < min(self.sizes_mb):
+            raise ValueError(
+                f"{noun} {capacity:.1f} MB holds no content "
+                f"(smallest is {min(self.sizes_mb):.1f} MB)"
+            )
+        return capacity
+
+    # ------------------------------------------------------------------
+    # Equilibria (the mfg policy's and strategy's input)
+    # ------------------------------------------------------------------
+    def solve_equilibria(self) -> Dict[int, EquilibriumResult]:
+        """Per-content equilibria on this engine's executor (cached).
+
+        Each content gets the engine config specialised to its
+        popularity share, size, and expected per-lane request rate —
+        the same per-content independence the Alg. 1 epoch loop
+        exploits, fanned out through
+        :func:`~repro.core.solver.fan_out_equilibria` — so both planes
+        solve identical equilibria for identical workloads.  Contents a
+        skip/degrade fault policy dropped are missing from the map.
+        """
+        if self._equilibria is None:
+            model = self.workload.timeliness_model
+            timeliness = float(min(model.mean(), model.l_max))
+            width = self.batch_size if self.solver_batching else 1
+            prefix = f"{self.scope}_eq"
+            label = (
+                (lambda shard: f"{prefix}:content{shard[0]}") if width == 1
+                else (lambda shard: f"{prefix}:batch{shard[0]}-{shard[-1]}")
+            )
+            with self.telemetry.span(f"{self.scope}_solve_equilibria"):
+                configs = {
+                    k: replace(
+                        self.config,
+                        popularity=float(np.clip(p, 0.0, 1.0)),
+                        content_size=float(self.workload.catalog[k].size_mb),
+                        n_requests=float(self.stream.rate_per_edp) * float(p),
+                        timeliness=timeliness,
+                    )
+                    for k, p in enumerate(self.stream.popularity)
+                }
+                self._equilibria, _ = fan_out_equilibria(
+                    configs,
+                    self.executor,
+                    self.telemetry,
+                    label=label,
+                    scope=self.scope,
+                    width=width,
+                    phase=f"{prefix}:solve",
+                )
+        return self._equilibria
+
+    # ------------------------------------------------------------------
+    # Replay
+    # ------------------------------------------------------------------
+    def replay(self, decider):
+        """Replay the stream under one policy or strategy (object or name)."""
+        if not isinstance(decider, self.decider_type):
+            decider = self._build(decider)
+        name = decider.name
+        spec = self.spec()
+        shards = partition_indices(getattr(self, self.units_attr), self.shards)
+        plan = ExecutionPlan.map(
+            self.work_item,
+            [(spec, decider, shard) for shard in shards],
+            labels=[f"{self.scope}:{name}:shard{i}" for i in range(len(shards))],
+            accepts_telemetry=True,
+        )
+        live = self.telemetry.live
+        progress = None
+        if live is not None:
+            live.set_phase(self.live_phase.format(name), total_items=len(plan))
+            # Expected volume counts measured slots only: replays fold
+            # no warmup request into the counters progress reads.
+            chunk = self.stream_chunk or self.stream.n_slots
+            live.set_stream(
+                workload=type(self.stream).__name__,
+                chunk_slots=chunk,
+                n_chunks=self.stream.n_chunks(chunk),
+                expected_requests=self.stream.expected_measured_requests(),
+            )
+
+            def progress(outcome) -> None:
+                # Fold each landed shard's counters into the live
+                # windowed views (recent hit ratio, latency sketch).
+                # Pure side channel — the report is recomputed from
+                # the ordered outcomes.
+                for stats in outcome.result or ():
+                    live.note_requests(
+                        stats.requests,
+                        hits=getattr(stats, self.hits_attr),
+                        latency_s=stats.latency_s,
+                    )
+
+        with self.telemetry.span(f"{self.scope}_replay_{name}"):
+            outcomes = self.executor.run(
+                plan, telemetry=self.telemetry, progress=progress
+            )
+        lost = [i for i, shard in enumerate(outcomes) if shard is None]
+        if lost and self.telemetry.enabled:
+            # A skip/degrade fault policy dropped whole shards; report
+            # the hole rather than silently under-counting.
+            self.telemetry.diag(
+                f"{self.scope}.shard_dropped",
+                "warning",
+                value=float(len(lost)),
+                message=(
+                    f"{len(lost)} of {len(outcomes)} {self.shard_noun} "
+                    "shards were dropped by the fault policy"
+                ),
+                **{self.decider_field: name},
+                shards=lost,
+            )
+        return self._report(name, [s for s in outcomes if s is not None])
+
+    def compare(self, deciders: Sequence) -> list:
+        """Replay the same stream under several policies or strategies.
+
+        Equilibria are solved up front when ``mfg`` is among them, so
+        every report shares one equilibrium; every replay consumes
+        identical per-lane request streams (same root seed), making
+        the reports comparable request for request.
+        """
+        if not deciders:
+            raise ValueError(f"no {self.deciders} to compare")
+        if any(
+            isinstance(d, str) and d.strip().lower() == "mfg" for d in deciders
+        ):
+            self.solve_equilibria()
+        return [self.replay(decider) for decider in deciders]
 
 
-def equilibrium_label(prefix: str, width: int) -> Callable[[Tuple[int, ...]], str]:
-    """Item labels of a replay's equilibrium plan.
-
-    ``{prefix}:content{k}`` for one-lane shards, ``{prefix}:batch{a}-{b}``
-    for batched shards of ``width`` lanes.
-    """
-    if width == 1:
-        return lambda shard: f"{prefix}:content{shard[0]}"
-    return lambda shard: f"{prefix}:batch{shard[0]}-{shard[-1]}"
-
-
-class ServingEngine:
+class ServingEngine(ReplayEngine):
     """Replay a request stream against a population of EDP edge caches.
 
     Parameters
@@ -588,6 +760,16 @@ class ServingEngine:
         mid-shard *and* mid-EDP.
     """
 
+    scope = "serve"
+    live_phase = "serve:replay:{}"
+    decider_type = ServingPolicy
+    decider_field = "policy"
+    deciders = "policies"
+    shard_noun = "replay"
+    work_item = staticmethod(replay_shard)
+    units_attr = "n_edps"
+    hits_attr = "hits"
+
     def __init__(
         self,
         workload: Workload,
@@ -612,84 +794,18 @@ class ServingEngine:
                 f"stream covers {stream.n_edps} EDPs but the engine was "
                 f"asked for {n_edps}"
             )
-        if stream_chunk < 0:
-            raise ValueError(
-                f"stream_chunk must be non-negative, got {stream_chunk}"
-            )
-        if solver_batching and batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.solver_batching = bool(solver_batching)
-        self.batch_size = int(batch_size)
-        if not 0.0 < capacity_fraction <= 1.0 and capacity_mb is None:
-            raise ValueError(
-                f"capacity_fraction must lie in (0, 1], got {capacity_fraction}"
-            )
-        self.workload = workload
-        self.config = config if config is not None else MFGCPConfig.fast()
-        self.n_edps = int(n_edps)
-        self.executor = as_executor(executor)
-        self.telemetry = telemetry
-        self.shards = min(self.n_edps, 8) if shards is None else int(shards)
-        if self.shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-
-        catalog = workload.catalog
-        if len(catalog) == 0:
-            raise ValueError("workload catalog has no contents")
-        if stream.n_contents != len(catalog):
-            raise ValueError(
-                f"stream catalog of {stream.n_contents} contents does not "
-                f"match the workload's {len(catalog)}"
-            )
-        self.sizes_mb = tuple(float(c.size_mb) for c in catalog)
-        self.update_periods = tuple(float(c.update_period) for c in catalog)
-        total = sum(self.sizes_mb)
-        self.capacity_mb = (
-            float(capacity_mb) if capacity_mb is not None
-            else capacity_fraction * total
+        super().__init__(
+            workload, stream, int(n_edps), config=config, shards=shards,
+            executor=executor, telemetry=telemetry,
+            solver_batching=solver_batching, batch_size=batch_size,
+            stream_chunk=stream_chunk,
         )
-        if self.capacity_mb < min(self.sizes_mb):
-            raise ValueError(
-                f"capacity {self.capacity_mb:.1f} MB holds no content "
-                f"(smallest is {min(self.sizes_mb):.1f} MB)"
-            )
-        self.stream = stream
-        self.stream_chunk = int(stream_chunk)
+        self.n_edps = int(n_edps)
+        self.capacity_mb = self._capacity(capacity_fraction, capacity_mb, "capacity")
         self.stream_state_dir = (
             None if stream_state_dir is None else os.fspath(stream_state_dir)
         )
-        self._equilibria: Optional[Dict[int, EquilibriumResult]] = None
 
-    # ------------------------------------------------------------------
-    # Equilibria (the mfg policy's input)
-    # ------------------------------------------------------------------
-    def solve_equilibria(self) -> Dict[int, EquilibriumResult]:
-        """Per-content equilibria on this engine's executor (cached).
-
-        Each content gets the engine config specialised to its
-        popularity share, size, and expected per-EDP request rate —
-        the same per-content independence the Alg. 1 epoch loop
-        exploits, fanned out through
-        :func:`~repro.core.solver.fan_out_equilibria`.  Contents a
-        skip/degrade fault policy dropped are missing from the map.
-        """
-        if self._equilibria is None:
-            width = self.batch_size if self.solver_batching else 1
-            with self.telemetry.span("serve_solve_equilibria"):
-                self._equilibria, _ = fan_out_equilibria(
-                    equilibrium_configs(self.config, self.workload, self.stream),
-                    self.executor,
-                    self.telemetry,
-                    label=equilibrium_label("serve_eq", width),
-                    scope="serve",
-                    width=width,
-                    phase="serve_eq:solve",
-                )
-        return self._equilibria
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
     def build_policy(self, name: str) -> ServingPolicy:
         """Instantiate a policy by name (solving equilibria for mfg)."""
         key = str(name).strip().lower()
@@ -707,6 +823,8 @@ class ServingEngine:
             popularity=self.stream.popularity,
             **kwargs,
         )
+
+    _build = build_policy
 
     def _price_path(self) -> np.ndarray:
         """Trading price per (slot, content).
@@ -753,81 +871,20 @@ class ServingEngine:
             stream_state_root=self.stream_state_dir,
         )
 
-    def replay(self, policy: Union[str, ServingPolicy]) -> ServingReport:
-        """Replay the full trace under one policy."""
-        policy_obj = (
-            policy if isinstance(policy, ServingPolicy)
-            else self.build_policy(policy)
-        )
-        spec = self.spec()
-        shards = partition_indices(self.n_edps, self.shards)
-        plan = ExecutionPlan.map(
-            replay_shard,
-            [(spec, policy_obj, shard) for shard in shards],
-            labels=[
-                f"serve:{policy_obj.name}:shard{i}" for i in range(len(shards))
-            ],
-            accepts_telemetry=True,
-        )
-        live = self.telemetry.live
-        if live is not None:
-            live.set_phase(
-                f"serve:replay:{policy_obj.name}", total_items=len(plan)
-            )
-            set_live_stream(live, self.stream, self.stream_chunk)
-
-        def _shard_progress(outcome) -> None:
-            # Fold each landed shard's serving counters into the live
-            # windowed views (recent hit ratio, latency sketch).  Pure
-            # side channel — the report below recomputes everything
-            # from the ordered outcomes.
-            if live is None or outcome.result is None:
-                return
-            for stats in outcome.result:
-                live.note_requests(
-                    stats.requests, hits=stats.hits, latency_s=stats.latency_s
-                )
-
-        with self.telemetry.span(f"serve_replay_{policy_obj.name}"):
-            outcomes = self.executor.run(
-                plan,
-                telemetry=self.telemetry,
-                progress=_shard_progress if live is not None else None,
-            )
-        lost = [i for i, shard in enumerate(outcomes) if shard is None]
-        if lost and self.telemetry.enabled:
-            # A skip/degrade fault policy dropped whole shards; report
-            # the hole rather than silently under-counting EDPs.
-            self.telemetry.diag(
-                "serve.shard_dropped",
-                "warning",
-                value=float(len(lost)),
-                message=(
-                    f"{len(lost)} of {len(outcomes)} replay shards were "
-                    "dropped by the fault policy"
-                ),
-                policy=policy_obj.name,
-                shards=lost,
-            )
-        per_edp = tuple(
-            stats
-            for shard in outcomes
-            if shard is not None
-            for stats in shard
-        )
+    def _report(
+        self, policy: str, shards: List[List[EDPServingStats]]
+    ) -> ServingReport:
         report = ServingReport(
-            policy=policy_obj.name,
+            policy=policy,
             n_slots=int(self.stream.n_slots),
             dt=float(self.stream.dt),
             seed=int(self.stream.seed),
             eta2=float(self.config.eta2),
             backhaul_rate=float(self.config.backhaul_rate),
-            per_edp=per_edp,
+            per_edp=tuple(stats for shard in shards for stats in shard),
         )
         if self.telemetry.enabled:
-            self.telemetry.gauge(
-                f"serve.{policy_obj.name}.hit_ratio", report.hit_ratio
-            )
+            self.telemetry.gauge(f"serve.{policy}.hit_ratio", report.hit_ratio)
             self.telemetry.event(
                 "serving_report",
                 policy=report.policy,
@@ -837,21 +894,3 @@ class ServingEngine:
                 backhaul_mb=report.backhaul_mb,
             )
         return report
-
-    def compare(
-        self, policies: Sequence[Union[str, ServingPolicy]]
-    ) -> List[ServingReport]:
-        """Replay the same trace under several policies.
-
-        Equilibria are solved up front when ``mfg`` is among the
-        policies so every report shares one price path; every replay
-        consumes identical per-EDP request streams (same root seed),
-        making the reports directly comparable request for request.
-        """
-        if not policies:
-            raise ValueError("no policies to compare")
-        if any(
-            isinstance(p, str) and p.strip().lower() == "mfg" for p in policies
-        ):
-            self.solve_equilibria()
-        return [self.replay(policy) for policy in policies]

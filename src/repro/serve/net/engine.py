@@ -22,6 +22,11 @@ into :class:`~repro.runtime.ExecutionPlan` work items.  Every
 slot-ordered in one item, and per-item results and telemetry merge in
 item order — so reports are bit-identical across ``serial`` and any
 ``process:N`` backend, across shard counts, and across chunk sizes.
+The replay driver around :func:`replay_network_shard` (shard plan,
+live progress, dropped-shard warning, equilibria, ``compare``) is the
+:class:`~repro.serve.engine.ReplayEngine` both planes extend; this
+module keeps the work item, the recipe, the strategy builder and the
+fold of replica stats into a :class:`NetworkServingReport`.
 
 Semantics (documented in ``docs/serving.md``)
 ---------------------------------------------
@@ -40,31 +45,16 @@ Semantics (documented in ``docs/serving.md``)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.content.workloads import Workload
-from repro.core.equilibrium import EquilibriumResult
 from repro.core.parameters import MFGCPConfig
-from repro.core.solver import fan_out_equilibria
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry
-from repro.runtime import ExecutionPlan, ExecutorLike, as_executor, partition_indices
+from repro.runtime import ExecutorLike
 from repro.serve.cache import CacheEntry, EdgeCache
-from repro.serve.engine import (
-    equilibrium_configs,
-    equilibrium_label,
-    set_live_stream,
-)
+from repro.serve.engine import ReplayEngine
 from repro.serve.net.queue import AdmissionQueue
 from repro.serve.net.report import (
     NetworkReplayStats,
@@ -481,7 +471,7 @@ def replay_network_shard(
     return results
 
 
-class NetworkReplayEngine:
+class NetworkReplayEngine(ReplayEngine):
     """Replay a request stream through a cache network under on-path strategies.
 
     Parameters
@@ -531,6 +521,16 @@ class NetworkReplayEngine:
         lane).  Pure memory grain — never affects results.
     """
 
+    scope = "net"
+    live_phase = "serve-net:{}"
+    decider_type = PlacementStrategy
+    decider_field = "strategy"
+    deciders = "strategies"
+    shard_noun = "network"
+    work_item = staticmethod(replay_network_shard)
+    units_attr = "n_replicas"
+    hits_attr = "cache_hits"
+
     def __init__(
         self,
         workload: Workload,
@@ -553,50 +553,12 @@ class NetworkReplayEngine:
     ) -> None:
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be positive, got {n_replicas}")
-        if solver_batching and batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if not 0.0 < capacity_fraction <= 1.0 and node_capacity_mb is None:
-            raise ValueError(
-                f"capacity_fraction must lie in (0, 1], got {capacity_fraction}"
-            )
-        if stream_chunk < 0:
-            raise ValueError(
-                f"stream_chunk must be non-negative, got {stream_chunk}"
-            )
-        self.workload = workload
-        self.config = config if config is not None else MFGCPConfig.fast()
         self.topology = (
             topology
             if isinstance(topology, CacheNetworkTopology)
             else parse_topology(topology, seed=int(topology_seed))
         )
         self.n_replicas = int(n_replicas)
-        self.shards = (
-            min(self.n_replicas, 8) if shards is None else int(shards)
-        )
-        if self.shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-        self.executor = as_executor(executor)
-        self.telemetry = telemetry
-        self.solver_batching = bool(solver_batching)
-        self.batch_size = int(batch_size)
-
-        catalog = workload.catalog
-        if len(catalog) == 0:
-            raise ValueError("workload catalog has no contents")
-        self.sizes_mb = tuple(float(c.size_mb) for c in catalog)
-        self.update_periods = tuple(float(c.update_period) for c in catalog)
-        total = sum(self.sizes_mb)
-        self.node_capacity_mb = (
-            float(node_capacity_mb)
-            if node_capacity_mb is not None
-            else capacity_fraction * total
-        )
-        if self.node_capacity_mb < min(self.sizes_mb):
-            raise ValueError(
-                f"node capacity {self.node_capacity_mb:.1f} MB holds no "
-                f"content (smallest is {min(self.sizes_mb):.1f} MB)"
-            )
         n_receivers = self.topology.n_receivers
         if stream.n_edps != self.n_replicas * n_receivers:
             raise ValueError(
@@ -604,13 +566,15 @@ class NetworkReplayEngine:
                 f"{self.n_replicas} replicas x {n_receivers} receivers "
                 f"need {self.n_replicas * n_receivers}"
             )
-        if stream.n_contents != len(catalog):
-            raise ValueError(
-                f"stream serves {stream.n_contents} contents but the "
-                f"workload catalog holds {len(catalog)}"
-            )
-        self.stream = stream
-        self.stream_chunk = int(stream_chunk)
+        super().__init__(
+            workload, stream, self.n_replicas, config=config, shards=shards,
+            executor=executor, telemetry=telemetry,
+            solver_batching=solver_batching, batch_size=batch_size,
+            stream_chunk=stream_chunk,
+        )
+        self.node_capacity_mb = self._capacity(
+            capacity_fraction, node_capacity_mb, "node capacity"
+        )
         self.queue_capacity = int(queue_capacity)
         self.queue_service_rate = (
             float(queue_service_rate)
@@ -623,36 +587,7 @@ class NetworkReplayEngine:
                 1e-9,
             )
         )
-        self._equilibria: Optional[Dict[int, EquilibriumResult]] = None
 
-    # ------------------------------------------------------------------
-    # Equilibria (the mfg strategy's input)
-    # ------------------------------------------------------------------
-    def solve_equilibria(self) -> Dict[int, EquilibriumResult]:
-        """Per-content equilibria on this engine's executor (cached).
-
-        Uses the exact helpers :class:`~repro.serve.engine.ServingEngine`
-        uses, so a network replay and a single-cache replay of the same
-        workload read the same equilibrium.  Contents a skip/degrade
-        fault policy dropped are missing from the map.
-        """
-        if self._equilibria is None:
-            width = self.batch_size if self.solver_batching else 1
-            with self.telemetry.span("net_solve_equilibria"):
-                self._equilibria, _ = fan_out_equilibria(
-                    equilibrium_configs(self.config, self.workload, self.stream),
-                    self.executor,
-                    self.telemetry,
-                    label=equilibrium_label("net_eq", width),
-                    scope="net",
-                    width=width,
-                    phase="net_eq:solve",
-                )
-        return self._equilibria
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
     def build_strategy(self, name: str) -> PlacementStrategy:
         """Instantiate a strategy by name (solving equilibria for mfg)."""
         key = str(name).strip().lower()
@@ -666,6 +601,8 @@ class NetworkReplayEngine:
                 horizon=self.stream.horizon,
             )
         return make_strategy(key, **kwargs)
+
+    _build = build_strategy
 
     def spec(self) -> NetworkReplaySpec:
         """The picklable replay recipe shards receive."""
@@ -681,77 +618,17 @@ class NetworkReplayEngine:
             chunk_slots=self.stream_chunk,
         )
 
-    def replay(
-        self, strategy: Union[str, PlacementStrategy]
+    def _report(
+        self, strategy: str, shards: List[List[NetworkReplayStats]]
     ) -> NetworkServingReport:
-        """Replay all replicas under one placement strategy."""
-        strategy_obj = (
-            strategy
-            if isinstance(strategy, PlacementStrategy)
-            else self.build_strategy(strategy)
-        )
-        spec = self.spec()
-        shards = partition_indices(self.n_replicas, self.shards)
-        plan = ExecutionPlan.map(
-            replay_network_shard,
-            [(spec, strategy_obj, shard) for shard in shards],
-            labels=[
-                f"net:{strategy_obj.name}:shard{i}" for i in range(len(shards))
-            ],
-            accepts_telemetry=True,
-        )
-        live = self.telemetry.live
-        if live is not None:
-            live.set_phase(
-                f"serve-net:{strategy_obj.name}", total_items=len(plan)
-            )
-            set_live_stream(live, self.stream, self.stream_chunk)
-
-        def _shard_progress(outcome) -> None:
-            # Fold each landed shard's counters into the live windowed
-            # views (recent hit ratio, latency sketch).  Pure side
-            # channel — the report below recomputes everything from
-            # the ordered outcomes.
-            if live is None or outcome.result is None:
-                return
-            for stats in outcome.result:
-                live.note_requests(
-                    stats.requests,
-                    hits=stats.cache_hits,
-                    latency_s=stats.latency_s,
-                )
-
-        with self.telemetry.span(f"net_replay_{strategy_obj.name}"):
-            outcomes = self.executor.run(
-                plan,
-                telemetry=self.telemetry,
-                progress=_shard_progress if live is not None else None,
-            )
-        lost = [i for i, shard in enumerate(outcomes) if shard is None]
-        if lost and self.telemetry.enabled:
-            # A skip/degrade fault policy dropped whole shards; report
-            # the hole rather than silently under-counting replicas.
-            self.telemetry.diag(
-                "net.shard_dropped",
-                "warning",
-                value=float(len(lost)),
-                message=(
-                    f"{len(lost)} of {len(outcomes)} network shards were "
-                    "dropped by the fault policy"
-                ),
-                strategy=strategy_obj.name,
-                shards=lost,
-            )
         # Fold per-replica stats in global replica order (item order
         # preserves it): float sums are then grouping-independent.
         totals = NetworkReplayStats.empty(self.topology)
-        for shard_stats in outcomes:
-            if shard_stats is None:
-                continue
+        for shard_stats in shards:
             for replica_stats in shard_stats:
                 totals.merge(replica_stats)
         report = NetworkServingReport(
-            strategy=strategy_obj.name,
+            strategy=strategy,
             topology=self.topology.name,
             n_slots=int(self.stream.n_slots),
             dt=float(self.stream.dt),
@@ -764,9 +641,7 @@ class NetworkReplayEngine:
             totals=totals,
         )
         if self.telemetry.enabled:
-            self.telemetry.gauge(
-                f"net.{strategy_obj.name}.hit_ratio", report.hit_ratio
-            )
+            self.telemetry.gauge(f"net.{strategy}.hit_ratio", report.hit_ratio)
             self.telemetry.event(
                 "network_report",
                 strategy=report.strategy,
@@ -779,22 +654,3 @@ class NetworkReplayEngine:
                 rejection_rate=report.rejection_rate,
             )
         return report
-
-    def compare(
-        self, strategies: Sequence[Union[str, PlacementStrategy]]
-    ) -> List[NetworkServingReport]:
-        """Replay identical request streams under several strategies.
-
-        Equilibria are solved up front when ``mfg`` is among the
-        strategies; every replay consumes identical per-receiver
-        request streams (same root seed), so reports are directly
-        comparable request for request at equal total cache budget.
-        """
-        if not strategies:
-            raise ValueError("no strategies to compare")
-        if any(
-            isinstance(s, str) and s.strip().lower() == "mfg"
-            for s in strategies
-        ):
-            self.solve_equilibria()
-        return [self.replay(strategy) for strategy in strategies]

@@ -70,7 +70,7 @@ class ServingReport:
     eta2, backhaul_rate:
         Backhaul cost constants used to derive ``net_income``.
     per_edp:
-        Per-EDP counters in EDP order.
+        Per-EDP counters in increasing EDP order.
     """
 
     policy: str
@@ -86,11 +86,13 @@ class ServingReport:
             raise ValueError(
                 f"backhaul_rate must be positive, got {self.backhaul_rate}"
             )
-        for i, stats in enumerate(self.per_edp):
-            if stats.edp != i:
+        # Increasing, not contiguous: a replay whose fault policy
+        # dropped shards reports the EDPs of the surviving ones.
+        for before, stats in zip(self.per_edp, self.per_edp[1:]):
+            if stats.edp <= before.edp:
                 raise ValueError(
-                    f"per-EDP stats must be in EDP order; position {i} holds "
-                    f"EDP {stats.edp}"
+                    f"per-EDP stats must be in increasing EDP order; EDP "
+                    f"{stats.edp} follows EDP {before.edp}"
                 )
 
     # ------------------------------------------------------------------

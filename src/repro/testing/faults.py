@@ -14,7 +14,9 @@ Spec grammar (the CLI's ``--inject-faults`` and :func:`parse_fault_plan`)::
     SPEC    := RULE (';' RULE)*
     RULE    := KIND [':' FIELD (',' FIELD)*]
     KIND    := 'raise' | 'kill' | 'slow' | 'corrupt'
-    FIELD   := 'item=' INT      -- match one work-item index
+    FIELD   := 'item=' INT      -- match one work-item index (plan items
+                                   only: label-only checks such as serve
+                                   replay chunks never match it)
              | 'label=' GLOB    -- fnmatch pattern on the item label
              | 'attempt=' INT   -- fire only on that attempt number
              | 'times=' INT     -- fire while attempt < times (-1 = always)
@@ -106,7 +108,7 @@ class FaultRule:
         if self.kind == "slow" and self.seconds < 0:
             raise FaultSpecError(f"slow seconds must be >= 0, got {self.seconds}")
 
-    def matches(self, index: int, label: str, attempt: int) -> bool:
+    def matches(self, index: Optional[int], label: str, attempt: int) -> bool:
         if self.item is not None and index != self.item:
             return False
         if self.label is not None and not fnmatch.fnmatchcase(label, self.label):
@@ -137,8 +139,13 @@ class FaultPlan:
     rules: Tuple[FaultRule, ...]
     spec: str = ""
 
-    def before_item(self, index: int, label: str, attempt: int = 0) -> None:
+    def before_item(
+        self, index: Optional[int], label: str, attempt: int = 0
+    ) -> None:
         """Apply every matching pre-execution rule for this attempt.
+
+        ``index`` is the work-item index; checks inside an item (serve
+        replay chunks) pass ``None``, which no ``item=`` rule matches.
 
         ``slow`` rules sleep (all that match); the first matching
         ``raise``/``kill`` rule raises.  ``corrupt`` rules are not

@@ -130,3 +130,21 @@ def test_stream_state_is_reset_without_resume(tmp_path, capsys):
     assert main(SERVE_ARGS + ["--checkpoint-dir", str(ckpt)]) == 0
     capsys.readouterr()
     assert not list(Path(_stream_state_dir(ckpt)).glob("*.pkl"))
+
+
+def test_item_rule_selects_plan_items_not_chunks(capsys):
+    """``item=N`` names plan item N only, never chunk N of an EDP replay.
+
+    Chunk checkpoints match fault rules by label alone: on the serial
+    backend ``raise:item=1`` must fail replay shard 1, not the first
+    EDP's chunk 1 inside shard 0.
+    """
+    argv = [
+        "serve", "--policy", "lru", "--edps", "4", "--shards", "2",
+        "--requests", "2000", "--no-registry",
+        "--inject-faults", "raise:item=1",
+    ]
+    assert exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert "serve:lru:shard1" in err
+    assert ":chunk" not in err
