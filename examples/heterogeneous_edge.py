@@ -48,7 +48,7 @@ def main() -> None:
                 label,
                 float(result.weights[c]),
                 float(mean_control.mean()),
-                float(res.grid.expectation(res.density[-1], res.grid.q_mesh())),
+                float(res.grid.integrate(res.density[-1] * res.grid.q_mesh())[0]),
                 acc["staleness_cost"],
                 acc["total"],
             )

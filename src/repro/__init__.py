@@ -23,7 +23,7 @@ from repro.core.parameters import (
     MFGCPConfig,
     PaperParameters,
 )
-from repro.core.grid import BatchGrid, StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.solver import EpochResult, MFGCPSolver
 from repro.core.best_response import (
     BatchedBestResponseIterator,
@@ -68,7 +68,6 @@ from repro.core.multi_population import (
     MultiPopulationIterator,
     MultiPopulationResult,
 )
-from repro.core.stationary import StationaryResult, StationarySolver
 
 from repro.content.catalog import Content, ContentCatalog
 from repro.content.popularity import PopularityTracker, ZipfPopularity
@@ -149,7 +148,6 @@ __all__ = [
     "PaperParameters",
     "ChannelParameters",
     "CachingParameters",
-    "StateGrid",
     "MFGCPSolver",
     "EpochResult",
     "BatchGrid",
@@ -197,8 +195,6 @@ __all__ = [
     "SLHJBSolver",
     "MultiPopulationIterator",
     "MultiPopulationResult",
-    "StationaryResult",
-    "StationarySolver",
     # content
     "Content",
     "ContentCatalog",

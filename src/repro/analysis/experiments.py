@@ -204,7 +204,7 @@ def fig4_meanfield_evolution(
     res = solve_equilibrium(config) if result is None else result
     return {
         "time": res.grid.t,
-        "q": res.grid.q,
+        "q": res.grid.q[0],
         "density": res.marginal_q_path(),
         "mean_q": res.mean_remaining_space(),
     }
@@ -223,7 +223,7 @@ def fig5_policy_evolution(
     }
     return {
         "time": res.grid.t,
-        "q": res.grid.q,
+        "q": res.grid.q[0],
         "policy_q_profile_t0": res.policy.q_profile(0.0, h_mid),
         "policy_q_profile_mid": res.policy.q_profile(
             0.5 * res.config.horizon, h_mid
@@ -258,7 +258,7 @@ def fig67_heatmap(
             continue
         out[float(q_size)] = {
             "time": res.grid.t,
-            "q": res.grid.q,
+            "q": res.grid.q[0],
             "density": res.marginal_q_path(),
             "mean_q": res.mean_remaining_space(),
         }

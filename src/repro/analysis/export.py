@@ -136,12 +136,12 @@ def export_equilibrium(result: EquilibriumResult, directory: Union[str, Path]) -
             write_rows_csv(
                 directory / f"policy_{label}.csv",
                 ["q_mb", "x_star"],
-                zip(result.grid.q, result.policy.q_profile(t, h_mid)),
+                zip(result.grid.q[0], result.policy.q_profile(t, h_mid)),
             )
         )
 
     marginal = result.marginal_q_path()
-    headers = ["time"] + [f"q={q:.1f}" for q in result.grid.q]
+    headers = ["time"] + [f"q={q:.1f}" for q in result.grid.q[0]]
     rows = [
         [result.grid.t[ti]] + list(marginal[ti]) for ti in range(marginal.shape[0])
     ]

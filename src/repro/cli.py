@@ -488,13 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_config_args(p_export)
     p_export.add_argument("--out", required=True, help="output directory")
-
-    p_stat = sub.add_parser(
-        "stationary", help="solve the infinite-horizon (discounted) equilibrium"
-    )
-    add_config_args(p_stat)
-    p_stat.add_argument("--discount", type=float, default=1.0,
-                        help="discount rate rho > 0")
     return parser
 
 
@@ -1504,28 +1497,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stationary(args: argparse.Namespace) -> int:
-    from repro.core.stationary import StationarySolver
-
-    config = _config_from_args(args)
-    result = StationarySolver(config, discount=args.discount).solve()
-    status = "converged" if result.converged else "NOT converged"
-    print(f"stationary equilibrium {status} after {result.n_iterations} iterations")
-    print(format_table(
-        ["quantity", "value"],
-        [
-            ("discount rho", result.discount),
-            ("stationary price", result.price),
-            ("mean remaining q (MB)", result.mean_q),
-            ("mean caching rate", result.mean_control),
-            ("sharing benefit", result.sharing_benefit),
-            ("utility rate", result.utility_rate()),
-        ],
-        title="Stationary market",
-    ))
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     raw_argv = [str(a) for a in (sys.argv[1:] if argv is None else argv)]
@@ -1546,7 +1517,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "export-metrics": _cmd_export_metrics,
         "verify": _cmd_verify,
         "export": _cmd_export,
-        "stationary": _cmd_stationary,
     }
     handler = handlers[args.command]
     if args.command in RUN_COMMANDS:

@@ -7,7 +7,7 @@ knapsack extension.
 """
 
 from repro.core.parameters import MFGCPConfig, PaperParameters, ChannelParameters, CachingParameters
-from repro.core.grid import BatchGrid, StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.policy import CachingPolicy, optimal_control
 from repro.core.hjb import BatchedHJBSolver, HJBSolver, HJBSolution
 from repro.core.fpk import BatchedFPKSolver, FPKSolver, batched_initial_density, initial_density
@@ -29,7 +29,6 @@ from repro.core.multi_population import (
     MultiPopulationIterator,
     MultiPopulationResult,
 )
-from repro.core.stationary import StationaryResult, StationarySolver
 from repro.core.theory import (
     Lemma1Report,
     Lemma2Report,
@@ -44,7 +43,6 @@ __all__ = [
     "PaperParameters",
     "ChannelParameters",
     "CachingParameters",
-    "StateGrid",
     "BatchGrid",
     "CachingPolicy",
     "optimal_control",
@@ -78,6 +76,4 @@ __all__ = [
     "SLHJBSolver",
     "MultiPopulationIterator",
     "MultiPopulationResult",
-    "StationaryResult",
-    "StationarySolver",
 ]

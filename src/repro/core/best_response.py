@@ -23,13 +23,13 @@ iterations of damping the policy table.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.equilibrium import ConvergenceReport, EquilibriumResult, IterationRecord
 from repro.core.fpk import BatchedFPKSolver, FPKSolver, batched_initial_density
-from repro.core.grid import BatchGrid, StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.hjb import BatchedHJBSolver, HJBSolution, HJBSolver
 from repro.core.mean_field import MeanFieldEstimator, MeanFieldPath
 from repro.core.parameters import MFGCPConfig
@@ -43,26 +43,45 @@ from repro.obs.diagnostics import (
 from repro.obs.telemetry import NULL_TELEMETRY, SolverTelemetry, StrictNumericsError
 
 
-def build_grid(config: MFGCPConfig) -> StateGrid:
-    """The state grid implied by a configuration.
+def build_grid(config: MFGCPConfig) -> BatchGrid:
+    """The one-lane state grid implied by a configuration."""
+    return build_batch_grid([config])
+
+
+def build_batch_grid(configs: Sequence[MFGCPConfig]) -> BatchGrid:
+    """The state grid of a batch of configurations, one lane each.
 
     The fading axis covers the OU stationary support (4 standard
     deviations around the long-term mean, widened to include the mean
-    itself when volatility is tiny); the cache axis spans ``[0, Q_k]``.
+    itself when volatility is tiny); each lane's cache axis spans its
+    own ``[0, Q_k]``.  Lanes must agree on the time and fading axes
+    and on ``n_q``.
     """
+    first = configs[0]
+    h_bounds = _h_bounds(first)
+    for i, cfg in enumerate(configs[1:], start=1):
+        if (cfg.horizon, cfg.n_time_steps) != (first.horizon, first.n_time_steps):
+            raise ValueError(f"lane {i} has a different time axis")
+        if (_h_bounds(cfg), cfg.n_h) != (h_bounds, first.n_h):
+            raise ValueError(f"lane {i} has a different fading axis")
+        if cfg.n_q != first.n_q:
+            raise ValueError(f"lane {i} has n_q={cfg.n_q}, lane 0 has n_q={first.n_q}")
+    return BatchGrid.regular(
+        horizon=first.horizon,
+        n_time_steps=first.n_time_steps,
+        h_bounds=h_bounds,
+        n_h=first.n_h,
+        q_max=[cfg.content_size for cfg in configs],
+        n_q=first.n_q,
+    )
+
+
+def _h_bounds(config: MFGCPConfig) -> Tuple[float, float]:
     ou = config.ou_process()
     h_lo, h_hi = ou.stationary_interval()
     if h_hi - h_lo < 1e-6:
         h_lo, h_hi = ou.mean - 0.5, ou.mean + 0.5
-    h_lo = max(h_lo, 1e-6)  # fading coefficients are positive magnitudes
-    return StateGrid.regular(
-        horizon=config.horizon,
-        n_time_steps=config.n_time_steps,
-        h_bounds=(h_lo, h_hi),
-        n_h=config.n_h,
-        q_max=config.content_size,
-        n_q=config.n_q,
-    )
+    return max(h_lo, 1e-6), h_hi  # fading coefficients are positive magnitudes
 
 
 class _LaneTelemetry:
@@ -235,8 +254,7 @@ class BatchedBestResponseIterator:
                 f"{len(self.configs)} configs"
             )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.lane_grids = [build_grid(cfg) for cfg in self.configs]
-        self.grid = BatchGrid.from_grids(self.lane_grids)
+        self.grid = build_batch_grid(self.configs)
         self.hjb = BatchedHJBSolver(self.configs, self.grid)
         self.fpk = BatchedFPKSolver(
             self.configs,
@@ -244,9 +262,10 @@ class BatchedBestResponseIterator:
             telemetry=self.telemetry,
             content_ids=self.content_ids,
         )
+        # Each lane's one-lane grid, shared by its estimator and results.
         self.estimators = [
-            MeanFieldEstimator(cfg, lane_grid)
-            for cfg, lane_grid in zip(self.configs, self.lane_grids)
+            MeanFieldEstimator(cfg, self.grid.select([b]))
+            for b, cfg in enumerate(self.configs)
         ]
 
     def solve(
@@ -320,16 +339,17 @@ class BatchedBestResponseIterator:
             # The probes inspect one content at a time, through one-lane
             # views of that lane's config and grid.
             lane_hjb = [
-                HJBSolver(cfg, lane_grid)
-                for cfg, lane_grid in zip(self.configs, self.lane_grids)
+                HJBSolver(cfg, est.grid)
+                for cfg, est in zip(self.configs, self.estimators)
             ]
             for b, diag in enumerate(diagnostics):
+                lane_grid = self.estimators[b].grid
                 diag.solve_start(
                     SolveStartContext(
                         telemetry=lane_teles[b],
-                        grid=self.lane_grids[b],
+                        grid=lane_grid,
                         config=self.configs[b],
-                        fpk=FPKSolver(self.configs[b], self.lane_grids[b], tele),
+                        fpk=FPKSolver(self.configs[b], lane_grid, tele),
                         hjb=lane_hjb[b],
                     )
                 )
@@ -407,7 +427,7 @@ class BatchedBestResponseIterator:
                 )
             if diagnostics is not None:
                 for j, b in enumerate(active):
-                    lane_grid = self.lane_grids[b]
+                    lane_grid = self.estimators[b].grid
                     solution = HJBSolution(
                         grid=lane_grid,
                         value=value_paths[b],
@@ -434,6 +454,7 @@ class BatchedBestResponseIterator:
 
         results: List[EquilibriumResult] = []
         for b in range(n_lanes):
+            lane_grid = self.estimators[b].grid
             report = ConvergenceReport(
                 converged=bool(converged[b]),
                 n_iterations=len(histories[b]),
@@ -451,9 +472,9 @@ class BatchedBestResponseIterator:
             results.append(
                 EquilibriumResult(
                     config=self.configs[b],
-                    grid=self.lane_grids[b],
+                    grid=lane_grid,
                     value=value_paths[b],
-                    policy=CachingPolicy(grid=self.lane_grids[b], table=policy[b]),
+                    policy=CachingPolicy(grid=lane_grid, table=policy[b]),
                     density=density_paths[b],
                     mean_field=mean_fields[b],
                     report=report,
@@ -487,7 +508,7 @@ class BestResponseIterator:
     shares its sweeps (``hjb``, ``fpk`` and ``estimator`` are the
     batch's own objects), so a single content runs the one fixed-point
     loop and returns its single :class:`EquilibriumResult`.  ``grid`` is
-    the content's :class:`StateGrid`.
+    the content's one-lane :class:`~repro.core.grid.BatchGrid`.
     """
 
     def __init__(
@@ -497,7 +518,7 @@ class BestResponseIterator:
     ) -> None:
         self.config = config
         self.lanes = BatchedBestResponseIterator([config], telemetry=telemetry)
-        self.grid = self.lanes.lane_grids[0]
+        self.grid = self.lanes.grid
         self.telemetry = self.lanes.telemetry
         self.hjb = self.lanes.hjb
         self.fpk = self.lanes.fpk
@@ -507,7 +528,7 @@ class BestResponseIterator:
         """The bootstrap policy table ``x^0`` (constant caching rate)."""
         if not 0.0 <= level <= 1.0:
             raise ValueError(f"policy level must lie in [0, 1], got {level}")
-        return np.full(self.grid.path_shape, float(level))
+        return np.full(self.grid.path_shape[1:], float(level))
 
     def solve(
         self,

@@ -14,7 +14,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 
 # numpy 2.0 renamed trapz to trapezoid; support both.
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -83,7 +83,7 @@ class EquilibriumResult:
     config:
         The configuration used.
     grid:
-        The state grid.
+        The content's one-lane grid.
     value:
         ``V(t, h, q)`` path from the final HJB sweep.
     policy:
@@ -97,7 +97,7 @@ class EquilibriumResult:
     """
 
     config: MFGCPConfig
-    grid: StateGrid
+    grid: BatchGrid
     value: np.ndarray
     policy: CachingPolicy
     density: np.ndarray
@@ -137,8 +137,8 @@ class EquilibriumResult:
         rate_of_h = np.asarray(
             cfg.channel.rate_of_fading(self.grid.h), dtype=float
         )[:, None]
-        q_mesh = self.grid.q_mesh()
-        weights = self.grid.cell_weights()
+        q_mesh = self.grid.q_mesh()[0]
+        weights = self.grid.cell_weights()[0]
 
         names = (
             "trading_income",

@@ -16,11 +16,11 @@ physical clamp of the remaining space to ``[0, Q_k]``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.grid import BatchGrid, StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.hjb import (
     frozen_lane_plan,
     lane_cfl_steps,
@@ -41,7 +41,7 @@ def _normal_pdf(x: np.ndarray, loc: float, scale: float) -> np.ndarray:
 
 
 def initial_density(
-    grid: StateGrid,
+    grid: BatchGrid,
     config: MFGCPConfig,
     mean_q: Optional[float] = None,
     std_q: Optional[float] = None,
@@ -50,8 +50,9 @@ def initial_density(
 
     The paper draws the initial cache state from a normal distribution
     (default ``N(0.7 Q, (0.1 Q)^2)``); the fading coordinate starts in
-    the OU stationary law.  Both marginals are truncated to the grid
-    and the product is normalised to unit mass.
+    the OU stationary law.  Both marginals are truncated to the
+    one-lane ``grid`` and the product is normalised to unit mass, as an
+    ``(n_h, n_q)`` sheet.
     """
     mq, sq = config.initial_density_moments()
     mean_q = mq if mean_q is None else float(mean_q)
@@ -66,9 +67,8 @@ def initial_density(
         h_density[grid.locate(ou_mean, 0.0)[0]] = 1.0
     else:
         h_density = _normal_pdf(grid.h, ou_mean, ou_std)
-    q_density = _normal_pdf(grid.q, mean_q, std_q)
-    density = np.outer(h_density, q_density)
-    return grid.normalize(density)
+    q_density = _normal_pdf(grid.q[0], mean_q, std_q)
+    return grid.normalize_sheet(np.outer(h_density, q_density))
 
 
 def batched_initial_density(
@@ -78,13 +78,13 @@ def batched_initial_density(
 
     Each lane's marginals come from its own config (``N(0.7 Q_k,
     (0.1 Q_k)^2)`` over that lane's cache axis), so lane ``b`` is
-    bit-identical to ``initial_density(grid.lane(b), configs[b])``.
+    bit-identical to ``initial_density(grid.select([b]), configs[b])``.
     """
     if len(configs) != grid.n_lanes:
         raise ValueError(f"{len(configs)} configs for {grid.n_lanes} lanes")
     return np.stack(
         [
-            initial_density(grid.lane(b), cfg)
+            initial_density(grid.select([b]), cfg)
             for b, cfg in enumerate(configs)
         ]
     )
@@ -178,28 +178,6 @@ class BatchedFPKSolver:
         np.maximum(update, 0.0, out=update)
         return subgrid.rescale_mass(
             update, telemetry=self.telemetry, content_ids=content_ids
-        )
-
-    def step_operator(
-        self, drift_q: np.ndarray, dt: float
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """One explicit conservative step of every lane under a fixed drift.
-
-        ``drift_q`` is ``(B, n_h, n_q)`` and ``dt`` the step length
-        shared by the lanes; the drift's donor-cell faces are built
-        here, once.  The returned function maps densities
-        ``(B, n_h, n_q)`` to the stepped densities.
-        """
-        grid = self.grid
-        faces_q = donor_cell_faces(drift_q, axis=1)
-        dq_col = grid.dq[:, None, None]
-        return lambda density: self._step(
-            np.asarray(density, dtype=float),
-            faces_q,
-            dt,
-            dq_col,
-            grid,
-            self.content_ids,
         )
 
     def solve(
@@ -307,14 +285,12 @@ class FPKSolver:
     """
 
     def __init__(
-        self, config: MFGCPConfig, grid: StateGrid, telemetry=None
+        self, config: MFGCPConfig, grid: BatchGrid, telemetry=None
     ) -> None:
         self.config = config
         self.grid = grid
         self.telemetry = telemetry
-        self.batch = BatchedFPKSolver(
-            [config], BatchGrid.from_grids([grid]), telemetry=telemetry
-        )
+        self.batch = BatchedFPKSolver([config], grid, telemetry=telemetry)
 
     def stable_step(self) -> float:
         """The CFL-stable explicit time step for this configuration."""
@@ -334,7 +310,7 @@ class FPKSolver:
         Parameters
         ----------
         policy_table:
-            ``x*(t, h, q)`` of shape ``grid.path_shape`` — each
+            ``x*(t, h, q)`` of shape ``(n_t + 1, n_h, n_q)`` — each
             reporting interval uses its left-endpoint policy sheet.
         density0:
             Initial density; defaults to :func:`initial_density`.
@@ -342,14 +318,14 @@ class FPKSolver:
         Returns
         -------
         numpy.ndarray
-            Density path of shape ``grid.path_shape`` with unit mass at
-            every reporting time.
+            Density path of shape ``(n_t + 1, n_h, n_q)`` with unit
+            mass at every reporting time.
         """
         policy_table = np.asarray(policy_table, dtype=float)
-        if policy_table.shape != self.grid.path_shape:
+        if policy_table.shape != self.grid.path_shape[1:]:
             raise ValueError(
                 f"policy table shape {policy_table.shape} != grid "
-                f"{self.grid.path_shape}"
+                f"{self.grid.path_shape[1:]}"
             )
         if density0 is not None:
             density0 = np.asarray(density0, dtype=float)[None]

@@ -44,11 +44,10 @@ import numpy as np
 
 from scipy.special import expit
 
-from repro.core.grid import BatchGrid, StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.mean_field import MeanFieldPath
 from repro.core.operators import (
     batched_second_derivative,
-    central_gradient,
     stable_time_step,
     upwind_difference,
     upwind_sources,
@@ -67,26 +66,17 @@ class HJBSolution:
     Attributes
     ----------
     grid:
-        The state grid.
+        The content's one-lane grid.
     value:
-        ``V(t, h, q)``, shape ``grid.path_shape``.
+        ``V(t, h, q)``, shape ``(n_t + 1, n_h, n_q)``.
     policy:
         The maximising control table ``x*(t, h, q)`` extracted during
         the sweep, wrapped for interpolation.
     """
 
-    grid: StateGrid
+    grid: BatchGrid
     value: np.ndarray
     policy: CachingPolicy
-
-    def value_gradient_q(self, time_index: int) -> np.ndarray:
-        """``d_q V`` at a reporting time (central differences)."""
-        return central_gradient(self.value[time_index], self.grid.dq, axis=1)
-
-    def initial_value(self, h: float, q: float) -> float:
-        """``V(0, h, q)`` — the accumulated optimal utility from state."""
-        ih, iq = self.grid.locate(h, q)
-        return float(self.value[0, ih, iq])
 
 
 def validate_shared_lane_params(configs: Sequence[MFGCPConfig]) -> None:
@@ -520,10 +510,10 @@ class HJBSolver:
     sweep.  ``batch`` is the underlying one-lane solver.
     """
 
-    def __init__(self, config: MFGCPConfig, grid: StateGrid) -> None:
+    def __init__(self, config: MFGCPConfig, grid: BatchGrid) -> None:
         self.config = config
         self.grid = grid
-        self.batch = BatchedHJBSolver([config], BatchGrid.from_grids([grid]))
+        self.batch = BatchedHJBSolver([config], grid)
 
     def stable_step(self) -> float:
         """The CFL-stable explicit time step for this configuration."""
@@ -557,9 +547,9 @@ class HJBSolver:
         """
         grid = self.grid
         value_path = np.asarray(value_path, dtype=float)
-        if value_path.shape != grid.path_shape:
+        if value_path.shape != grid.path_shape[1:]:
             raise ValueError(
-                f"value path shape {value_path.shape} != grid {grid.path_shape}"
+                f"value path shape {value_path.shape} != grid {grid.path_shape[1:]}"
             )
         n_int = grid.n_t
         n_samples = max(1, min(int(max_samples), n_int))

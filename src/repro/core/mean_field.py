@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.parameters import MFGCPConfig
 from repro.economics.sharing import mean_field_sharing_benefit
 from repro.economics.utility import MarketContext
@@ -34,7 +34,7 @@ class MeanFieldPath:
     All arrays have shape ``(n_t + 1,)`` on the reporting time grid.
     """
 
-    grid: StateGrid
+    grid: BatchGrid
     n_requests: np.ndarray
     mean_control: np.ndarray
     price: np.ndarray
@@ -93,16 +93,17 @@ class MeanFieldEstimator:
 
     Everything an estimate needs besides the two paths (quadrature
     weights, ``q`` mesh, threshold masks, pricing model, request path)
-    depends on the config and grid alone and is built once, here.
+    depends on the config and the content's one-lane grid alone and is
+    built once, here, as ``(n_h, n_q)`` sheets.
     """
 
     config: MFGCPConfig
-    grid: StateGrid
+    grid: BatchGrid
 
     def __post_init__(self) -> None:
         cfg, grid = self.config, self.grid
-        self._weights = grid.cell_weights()
-        self._q_mesh = grid.q_mesh()
+        self._weights = grid.cell_weights()[0]
+        self._q_mesh = grid.q_mesh()[0]
         threshold = cfg.alpha * cfg.content_size
         self._low_mask = (self._q_mesh <= threshold).astype(float)
         self._high_mask = 1.0 - self._low_mask
@@ -120,8 +121,8 @@ class MeanFieldEstimator:
         Parameters
         ----------
         density_path:
-            ``lambda(t, h, q)``, shape ``grid.path_shape``, each time
-            sheet a unit-mass density.
+            ``lambda(t, h, q)``, shape ``(n_t + 1, n_h, n_q)``, each
+            time sheet a unit-mass density.
         policy_table:
             ``x*(t, h, q)``, same shape.
         n_requests:
@@ -130,7 +131,7 @@ class MeanFieldEstimator:
         """
         density_path = np.asarray(density_path, dtype=float)
         policy_table = np.asarray(policy_table, dtype=float)
-        expected = self.grid.path_shape
+        expected = self.grid.path_shape[1:]
         if density_path.shape != expected:
             raise ValueError(
                 f"density path shape {density_path.shape} != grid {expected}"

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.best_response import build_grid
 from repro.core.equilibrium import ConvergenceReport, EquilibriumResult, IterationRecord
 from repro.core.fpk import FPKSolver, initial_density
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.hjb import HJBSolver
 from repro.core.mean_field import MeanFieldEstimator, MeanFieldPath
 from repro.core.parameters import MFGCPConfig
@@ -132,7 +132,7 @@ class MultiPopulationIterator:
             lo, hi = cfg.ou_process().stationary_interval()
             los.append(max(lo, 1e-6))
             his.append(hi)
-        self.grid = StateGrid.regular(
+        self.grid = BatchGrid.regular(
             horizon=base.horizon,
             n_time_steps=base.n_time_steps,
             h_bounds=(min(los), max(max(his), min(los) + 0.1)),
@@ -209,7 +209,7 @@ class MultiPopulationIterator:
         n_classes = len(self.configs)
         densities0 = [initial_density(self.grid, cfg) for cfg in self.configs]
         policies = [
-            np.full(self.grid.path_shape, float(initial_policy_level))
+            np.full(self.grid.path_shape[1:], float(initial_policy_level))
             for _ in range(n_classes)
         ]
         density_paths = [

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -67,20 +67,20 @@ class CachingPolicy:
     Attributes
     ----------
     grid:
-        The grid the table was solved on.
+        The one-lane grid the table was solved on.
     table:
-        Policy values of shape ``grid.path_shape``.
+        Policy values of shape ``(n_t + 1, n_h, n_q)``.
     """
 
-    grid: StateGrid
+    grid: BatchGrid
     table: np.ndarray
 
     def __post_init__(self) -> None:
         table = np.asarray(self.table, dtype=float)
-        if table.shape != self.grid.path_shape:
+        if table.shape != self.grid.path_shape[1:]:
             raise ValueError(
                 f"policy table shape {table.shape} does not match "
-                f"grid path shape {self.grid.path_shape}"
+                f"grid path shape {self.grid.path_shape[1:]}"
             )
         if np.any(table < -1e-9) or np.any(table > 1.0 + 1e-9):
             raise ValueError("policy values must lie in [0, 1]")
@@ -105,14 +105,8 @@ class CachingPolicy:
         q = np.asarray(q, dtype=float)
         if h.shape != q.shape:
             raise ValueError(f"h shape {h.shape} != q shape {q.shape}")
-        ti = self.grid.nearest_time_index(t)
-        sheet = self.table[ti]
-        fh = np.clip((h - self.grid.h[0]) / self.grid.dh, 0.0, self.grid.n_h - 1 - 1e-12)
-        fq = np.clip((q - self.grid.q[0]) / self.grid.dq, 0.0, self.grid.n_q - 1 - 1e-12)
-        ih = fh.astype(int)
-        iq = fq.astype(int)
-        rh = fh - ih
-        rq = fq - iq
+        sheet = self.table[self.grid.nearest_time_index(t)]
+        ih, iq, rh, rq = self.grid.interp_weights(h, q)
         ih1 = np.minimum(ih + 1, self.grid.n_h - 1)
         iq1 = np.minimum(iq + 1, self.grid.n_q - 1)
         top = sheet[ih, iq] * (1.0 - rh) + sheet[ih1, iq] * rh
@@ -125,7 +119,7 @@ class CachingPolicy:
 
     def q_profile(self, t: float, h: float) -> np.ndarray:
         """``x*(t, h, .)`` as a function of ``q`` (the Fig. 5 slice)."""
-        ih, _ = self.grid.locate(h, self.grid.q[0])
+        ih, _ = self.grid.locate(h, 0.0)
         return self.table[self.grid.nearest_time_index(t), ih, :].copy()
 
     def time_profile(self, h: float, q: float) -> np.ndarray:
@@ -144,5 +138,5 @@ class CachingPolicy:
                 f"density path shape {density_path.shape} does not match "
                 f"policy table shape {self.table.shape}"
             )
-        weights = self.grid.cell_weights()
+        weights = self.grid.cell_weights()[0]
         return np.einsum("thq,thq,hq->t", density_path, self.table, weights)

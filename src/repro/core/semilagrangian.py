@@ -34,29 +34,24 @@ import numpy as np
 from repro.core.equilibrium import ConvergenceReport, EquilibriumResult, IterationRecord
 from repro.core.best_response import build_grid
 from repro.core.fpk import initial_density
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.mean_field import MeanFieldEstimator, MeanFieldPath
 from repro.core.parameters import MFGCPConfig
 from repro.core.policy import CachingPolicy
 
 
 def bilinear_interpolate(
-    field: np.ndarray, grid: StateGrid, h_pts: np.ndarray, q_pts: np.ndarray
+    field: np.ndarray, grid: BatchGrid, h_pts: np.ndarray, q_pts: np.ndarray
 ) -> np.ndarray:
-    """Bilinear interpolation of a grid field at arbitrary points.
+    """Bilinear interpolation of a grid sheet at arbitrary points.
 
     Points outside the grid are clamped to the boundary (consistent
     with the reflecting state boundaries of the model).
     """
     field = np.asarray(field, dtype=float)
-    if field.shape != grid.shape:
-        raise ValueError(f"field shape {field.shape} != grid {grid.shape}")
-    fh = np.clip((h_pts - grid.h[0]) / grid.dh, 0.0, grid.n_h - 1 - 1e-12)
-    fq = np.clip((q_pts - grid.q[0]) / grid.dq, 0.0, grid.n_q - 1 - 1e-12)
-    ih = fh.astype(int)
-    iq = fq.astype(int)
-    rh = fh - ih
-    rq = fq - iq
+    if field.shape != grid.shape[1:]:
+        raise ValueError(f"field shape {field.shape} != grid {grid.shape[1:]}")
+    ih, iq, rh, rq = grid.interp_weights(h_pts, q_pts)
     ih1 = np.minimum(ih + 1, grid.n_h - 1)
     iq1 = np.minimum(iq + 1, grid.n_q - 1)
     top = field[ih, iq] * (1.0 - rh) + field[ih1, iq] * rh
@@ -65,7 +60,7 @@ def bilinear_interpolate(
 
 
 def bilinear_deposit(
-    mass: np.ndarray, grid: StateGrid, h_pts: np.ndarray, q_pts: np.ndarray
+    mass: np.ndarray, grid: BatchGrid, h_pts: np.ndarray, q_pts: np.ndarray
 ) -> np.ndarray:
     """Scatter mass to grid nodes with bilinear weights (conservative).
 
@@ -73,15 +68,12 @@ def bilinear_deposit(
     equals total input mass exactly.
     """
     mass = np.asarray(mass, dtype=float).ravel()
-    fh = np.clip((np.asarray(h_pts).ravel() - grid.h[0]) / grid.dh, 0.0, grid.n_h - 1 - 1e-12)
-    fq = np.clip((np.asarray(q_pts).ravel() - grid.q[0]) / grid.dq, 0.0, grid.n_q - 1 - 1e-12)
-    ih = fh.astype(int)
-    iq = fq.astype(int)
-    rh = fh - ih
-    rq = fq - iq
+    ih, iq, rh, rq = grid.interp_weights(
+        np.asarray(h_pts).ravel(), np.asarray(q_pts).ravel()
+    )
     ih1 = np.minimum(ih + 1, grid.n_h - 1)
     iq1 = np.minimum(iq + 1, grid.n_q - 1)
-    out = np.zeros(grid.shape)
+    out = np.zeros(grid.shape[1:])
     np.add.at(out, (ih, iq), mass * (1 - rh) * (1 - rq))
     np.add.at(out, (ih1, iq), mass * rh * (1 - rq))
     np.add.at(out, (ih, iq1), mass * (1 - rh) * rq)
@@ -99,7 +91,7 @@ class SLHJBSolver:
     """
 
     def __init__(
-        self, config: MFGCPConfig, grid: StateGrid, n_control_levels: int = 17
+        self, config: MFGCPConfig, grid: BatchGrid, n_control_levels: int = 17
     ) -> None:
         if n_control_levels < 2:
             raise ValueError(
@@ -120,7 +112,7 @@ class SLHJBSolver:
         grid = self.grid
         dh = self._sigma_h * np.sqrt(dt)
         dq = self._sigma_q * np.sqrt(dt)
-        total = np.zeros(grid.shape)
+        total = np.zeros(grid.shape[1:])
         for sh in (-1.0, 1.0):
             for sq in (-1.0, 1.0):
                 total += bilinear_interpolate(
@@ -139,26 +131,27 @@ class SLHJBSolver:
         grid = self.grid
         cfg = self.config
         dt = grid.dt
-        h_mesh = np.broadcast_to(grid.h[:, None], grid.shape)
-        q_mesh = grid.q_mesh()
+        shape = grid.shape[1:]
+        h_mesh = grid.h_mesh()[0]
+        q_mesh = grid.q_mesh()[0]
         h_foot = h_mesh + self._drift_h * dt
 
-        value_path = np.empty(grid.path_shape)
-        policy_path = np.empty(grid.path_shape)
+        value_path = np.empty(grid.path_shape[1:])
+        policy_path = np.empty(grid.path_shape[1:])
         value = (
-            np.zeros(grid.shape)
+            np.zeros(shape)
             if terminal_value is None
             else np.asarray(terminal_value, dtype=float).copy()
         )
-        if value.shape != grid.shape:
-            raise ValueError(f"terminal value shape {value.shape} != grid {grid.shape}")
+        if value.shape != shape:
+            raise ValueError(f"terminal value shape {value.shape} != grid {shape}")
         value_path[grid.n_t] = value
         policy_path[grid.n_t] = 0.0
 
         for ti in range(grid.n_t - 1, -1, -1):
             ctx = mean_field.context(ti)
-            best_value = np.full(grid.shape, -np.inf)
-            best_control = np.zeros(grid.shape)
+            best_value = np.full(shape, -np.inf)
+            best_control = np.zeros(shape)
             for x in self.controls:
                 drift_q = float(cfg.drift_rate(np.array(x)))
                 q_foot = np.clip(q_mesh + drift_q * dt, 0.0, cfg.content_size)
@@ -182,7 +175,7 @@ class SLHJBSolver:
 class SLFPKSolver:
     """Semi-Lagrangian forward FPK solver (Eq. (15)), mass-conserving."""
 
-    def __init__(self, config: MFGCPConfig, grid: StateGrid) -> None:
+    def __init__(self, config: MFGCPConfig, grid: BatchGrid) -> None:
         self.config = config
         self.grid = grid
         ch = config.channel
@@ -199,35 +192,35 @@ class SLFPKSolver:
         grid = self.grid
         cfg = self.config
         policy_table = np.asarray(policy_table, dtype=float)
-        if policy_table.shape != grid.path_shape:
+        if policy_table.shape != grid.path_shape[1:]:
             raise ValueError(
-                f"policy table shape {policy_table.shape} != grid {grid.path_shape}"
+                f"policy table shape {policy_table.shape} != grid {grid.path_shape[1:]}"
             )
         density = (
             initial_density(grid, cfg) if density0 is None
-            else grid.normalize(np.asarray(density0, dtype=float))
+            else grid.normalize_sheet(density0)
         )
         dt = grid.dt
-        h_mesh = np.broadcast_to(grid.h[:, None], grid.shape)
-        q_mesh = grid.q_mesh()
-        cell = grid.cell_weights()
+        h_mesh = grid.h_mesh()[0]
+        q_mesh = grid.q_mesh()[0]
+        cell = grid.cell_weights()[0]
         dh = self._sigma_h * np.sqrt(dt)
         dq = self._sigma_q * np.sqrt(dt)
 
-        path = np.empty(grid.path_shape)
+        path = np.empty(grid.path_shape[1:])
         path[0] = density
         for ti in range(grid.n_t):
             drift_q = cfg.drift_rate(policy_table[ti])
             h_foot = h_mesh + self._drift_h * dt
             q_foot = np.clip(q_mesh + drift_q * dt, 0.0, cfg.content_size)
             mass = density * cell
-            new_mass = np.zeros(grid.shape)
+            new_mass = np.zeros(grid.shape[1:])
             for sh in (-1.0, 1.0):
                 for sq in (-1.0, 1.0):
                     new_mass += bilinear_deposit(
                         0.25 * mass, grid, h_foot + sh * dh, q_foot + sq * dq
                     )
-            density = grid.normalize(new_mass / cell)
+            density = grid.normalize_sheet(new_mass / cell)
             path[ti + 1] = density
         return path
 
@@ -244,7 +237,7 @@ class SLBestResponseIterator:
     def __init__(
         self,
         config: MFGCPConfig,
-        grid: Optional[StateGrid] = None,
+        grid: Optional[BatchGrid] = None,
         n_control_levels: int = 17,
     ) -> None:
         self.config = config
@@ -268,7 +261,7 @@ class SLBestResponseIterator:
                 f"policy level must lie in [0, 1], got {initial_policy_level}"
             )
 
-        policy_table = np.full(grid.path_shape, float(initial_policy_level))
+        policy_table = np.full(grid.path_shape[1:], float(initial_policy_level))
         density_path = self.fpk.solve(policy_table, density0)
         mean_field = self.estimator.estimate(density_path, policy_table)
 

@@ -28,7 +28,7 @@ import numpy as np
 from repro.analysis.convergence import fixed_point_rate
 from repro.core.best_response import build_grid
 from repro.core.equilibrium import EquilibriumResult
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.mean_field import MeanFieldEstimator, MeanFieldPath
 from repro.core.operators import central_gradient
 from repro.core.parameters import MFGCPConfig
@@ -122,9 +122,9 @@ class Theorem2Report:
 
 def _grid_and_mean_field(
     config: MFGCPConfig,
-    grid: Optional[StateGrid],
+    grid: Optional[BatchGrid],
     mean_field: Optional[MeanFieldPath],
-) -> Tuple[StateGrid, MeanFieldPath]:
+) -> Tuple[BatchGrid, MeanFieldPath]:
     grid = grid if grid is not None else build_grid(config)
     if mean_field is None:
         mean_field = MeanFieldEstimator(config, grid).constant_guess()
@@ -133,11 +133,11 @@ def _grid_and_mean_field(
 
 def verify_lemma1(
     config: MFGCPConfig,
-    grid: Optional[StateGrid] = None,
+    grid: Optional[BatchGrid] = None,
     mean_field: Optional[MeanFieldPath] = None,
     n_controls: int = 5,
 ) -> Lemma1Report:
-    """Evaluate the Lemma 1 hypotheses on a state grid.
+    """Evaluate the Lemma 1 hypotheses on a content's one-lane grid.
 
     Parameters
     ----------
@@ -163,7 +163,7 @@ def verify_lemma1(
     # Utility bound and gradient bound over grid x controls x time.
     utility = config.utility_model()
     rate_of_h = np.asarray(ch.rate_of_fading(grid.h), dtype=float)[:, None]
-    q_mesh = grid.q_mesh()
+    q_mesh = grid.q_mesh()[0]
     u_max = 0.0
     du_max = 0.0
     time_samples = (0, grid.n_t // 2, grid.n_t)
@@ -172,7 +172,7 @@ def verify_lemma1(
         for x in controls:
             u = utility.total(x, q_mesh, rate_of_h, ctx)
             u_max = max(u_max, float(np.abs(u).max()))
-            du = central_gradient(np.asarray(u, dtype=float), grid.dq, axis=1)
+            du = central_gradient(np.asarray(u, dtype=float), grid.dq[0], axis=1)
             du_max = max(du_max, float(np.abs(du).max()))
 
     return Lemma1Report(
@@ -186,7 +186,7 @@ def verify_lemma1(
 
 def verify_lemma2(
     config: MFGCPConfig,
-    grid: Optional[StateGrid] = None,
+    grid: Optional[BatchGrid] = None,
 ) -> Lemma2Report:
     """Evaluate the Eq. (25) parabolic-coefficient conditions."""
     grid = grid if grid is not None else build_grid(config)

@@ -47,7 +47,7 @@ from repro.obs.telemetry import SolverTelemetry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports obs)
     from repro.core.equilibrium import ConvergenceReport
     from repro.core.fpk import FPKSolver
-    from repro.core.grid import StateGrid
+    from repro.core.grid import BatchGrid
     from repro.core.hjb import HJBSolution, HJBSolver
     from repro.core.mean_field import MeanFieldPath
     from repro.core.parameters import MFGCPConfig
@@ -65,7 +65,7 @@ class SolveStartContext:
     """State available before the first best-response iteration."""
 
     telemetry: SolverTelemetry
-    grid: "StateGrid"
+    grid: "BatchGrid"
     config: "MFGCPConfig"
     fpk: "FPKSolver"
     hjb: "HJBSolver"
@@ -76,7 +76,7 @@ class IterationContext:
     """State available after one complete best-response iteration."""
 
     telemetry: SolverTelemetry
-    grid: "StateGrid"
+    grid: "BatchGrid"
     config: "MFGCPConfig"
     hjb: "HJBSolver"
     iteration: int
@@ -146,7 +146,7 @@ class MassConservationProbe(_BaseProbe):
         self.error_at = float(error_at)
 
     def on_iteration(self, ctx: IterationContext) -> None:
-        weights = ctx.grid.cell_weights()
+        weights = ctx.grid.cell_weights()[0]
         # One vectorised contraction over the whole path: mass(t) for
         # every reporting time without a Python-level loop.
         masses = np.tensordot(ctx.density_path, weights, axes=([1, 2], [0, 1]))

@@ -103,8 +103,8 @@ class OrnsteinUhlenbeckProcess:
     def stationary_interval(self, n_std: float = 4.0) -> Tuple[float, float]:
         """An interval containing nearly all stationary mass.
 
-        Used by :class:`repro.core.grid.StateGrid` to bound the ``h``
-        axis of the PDE grid.
+        Used by :func:`repro.core.best_response.build_batch_grid` to
+        bound the ``h`` axis of the PDE grid.
         """
         mean, std = self.stationary_moments()
         return mean - n_std * std, mean + n_std * std

@@ -100,3 +100,21 @@ class TestExportEquilibrium:
         assert float(rows[1][1]) == pytest.approx(
             float(solved_equilibrium.mean_field.price[0])
         )
+
+    def test_policy_rows_follow_the_q_axis(self, tmp_path, solved_equilibrium):
+        grid = solved_equilibrium.grid
+        export_equilibrium(solved_equilibrium, tmp_path / "eq")
+        with (tmp_path / "eq" / "policy_t0.csv").open() as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["q_mb", "x_star"]
+        assert len(rows) == grid.n_q + 1
+        assert [float(row[0]) for row in rows[1:]] == grid.q[0].tolist()
+
+    def test_density_marginal_header_names_every_q(self, tmp_path, solved_equilibrium):
+        grid = solved_equilibrium.grid
+        export_equilibrium(solved_equilibrium, tmp_path / "eq")
+        with (tmp_path / "eq" / "density_marginal.csv").open() as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["time"] + [f"q={q:.1f}" for q in grid.q[0]]
+        assert len(rows[0]) == grid.n_q + 1
+        assert len(rows) == grid.n_t + 2

@@ -49,7 +49,7 @@ class TestFormatHeatmap:
         text = format_heatmap(
             marginal[:: max(1, res.grid.n_t // 8)],
             res.grid.t[:: max(1, res.grid.n_t // 8)],
-            res.grid.q,
+            res.grid.q[0],
         )
         assert "|" in text
         assert "peak" in text

@@ -4,7 +4,8 @@ The solver package keeps one implementation of the stencils, the
 Godunov HJB step and the conservative FPK step: the batched sweeps over
 ``(B, n_h, n_q)`` lanes.  This module keeps the single-content
 formulation they were derived from, written on plain 2-D
-``(n_h, n_q)`` fields with its own stencils, as a test-only oracle.
+``(n_h, n_q)`` fields of a one-lane grid with its own stencils, as a
+test-only oracle.
 Nothing in it calls the batched code: a lane of a batched sweep must
 equal the reference sweep of that lane alone, bit for bit.
 
@@ -20,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.fpk import initial_density
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.mean_field import MeanFieldPath
 from repro.core.operators import stable_time_step
 from repro.core.parameters import MFGCPConfig
@@ -144,7 +145,7 @@ def conservative_diffusion(density: np.ndarray, diffusivity: float, spacing: flo
 class ReferenceHJB:
     """Monotone (Godunov) finite-difference sweep of Eq. (20) on one lane."""
 
-    def __init__(self, config: MFGCPConfig, grid: StateGrid) -> None:
+    def __init__(self, config: MFGCPConfig, grid: BatchGrid) -> None:
         self.config = config
         self.grid = grid
         self._utility = config.utility_model()
@@ -174,7 +175,7 @@ class ReferenceHJB:
         drift1 = float(np.abs(cfg.drift_rate(np.array(1.0))))
         max_bq = max(drift0, drift1)
         return stable_time_step(
-            max_bh, max_bq, self.grid.dh, self.grid.dq, self._diff_h, self._diff_q
+            max_bh, max_bq, self.grid.dh, self.grid.dq[0], self._diff_h, self._diff_q
         )
 
     def substeps_per_interval(self) -> int:
@@ -182,7 +183,7 @@ class ReferenceHJB:
 
     def _one_sided_gradients_q(self, value: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Backward and forward differences in ``q`` with Neumann ghosts."""
-        dq = self.grid.dq
+        dq = self.grid.dq[0]
         backward = np.zeros_like(value)
         forward = np.zeros_like(value)
         backward[:, 1:] = (value[:, 1:] - value[:, :-1]) / dq
@@ -233,10 +234,10 @@ class ReferenceHJB:
         adv_h = self._drift_h * upwind_gradient(value, grid.dh, -self._drift_h, axis=0)
         diff = self._diff_h * second_derivative(
             value, grid.dh, axis=0
-        ) + self._diff_q * second_derivative(value, grid.dq, axis=1)
+        ) + self._diff_q * second_derivative(value, grid.dq[0], axis=1)
         # Control-free running utility U(x=0); the control-coupled part
         # (-a x - w5 x^2) already lives inside the Godunov term.
-        utility0 = self._utility.total(0.0, grid.q_mesh(), self._rate_of_h, ctx)
+        utility0 = self._utility.total(0.0, grid.q_mesh()[0], self._rate_of_h, ctx)
         return adv_h + ham_q + diff + utility0, control
 
     def control_from_value(self, value: np.ndarray) -> np.ndarray:
@@ -249,10 +250,10 @@ class ReferenceHJB:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Backward sweep; returns ``(value_path, policy_path)``."""
         grid = self.grid
-        value_path = np.empty(grid.path_shape)
-        policy_path = np.empty(grid.path_shape)
+        value_path = np.empty(grid.path_shape[1:])
+        policy_path = np.empty(grid.path_shape[1:])
         if terminal_value is None:
-            value = np.zeros(grid.shape)
+            value = np.zeros(grid.shape[1:])
         else:
             value = np.asarray(terminal_value, dtype=float).copy()
         value_path[grid.n_t] = value
@@ -276,7 +277,7 @@ class ReferenceHJB:
 class ReferenceFPK:
     """Explicit conservative finite-difference sweep of Eq. (15) on one lane."""
 
-    def __init__(self, config: MFGCPConfig, grid: StateGrid) -> None:
+    def __init__(self, config: MFGCPConfig, grid: BatchGrid) -> None:
         self.config = config
         self.grid = grid
         ch = config.channel
@@ -291,7 +292,7 @@ class ReferenceFPK:
         drift1 = float(np.abs(cfg.drift_rate(np.array(1.0))))
         max_bq = max(drift0, drift1)
         return stable_time_step(
-            max_bh, max_bq, self.grid.dh, self.grid.dq, self._diff_h, self._diff_q
+            max_bh, max_bq, self.grid.dh, self.grid.dq[0], self._diff_h, self._diff_q
         )
 
     def substeps_per_interval(self) -> int:
@@ -302,15 +303,15 @@ class ReferenceFPK:
         grid = self.grid
         update = (
             conservative_advection(density, self._drift_h, grid.dh, axis=0)
-            + conservative_advection(density, drift_q, grid.dq, axis=1)
+            + conservative_advection(density, drift_q, grid.dq[0], axis=1)
             + conservative_diffusion(density, self._diff_h, grid.dh, axis=0)
-            + conservative_diffusion(density, self._diff_q, grid.dq, axis=1)
+            + conservative_diffusion(density, self._diff_q, grid.dq[0], axis=1)
         )
         new = density + dt * update
         # Donor-cell + explicit diffusion can undershoot by rounding at
         # steep fronts; clip and renormalise to keep a probability law.
         new = np.maximum(new, 0.0)
-        return grid.normalize(new)
+        return grid.normalize_sheet(new)
 
     def solve(
         self, policy_table: np.ndarray, density0: Optional[np.ndarray] = None
@@ -320,8 +321,8 @@ class ReferenceFPK:
         if density0 is None:
             density = initial_density(grid, self.config)
         else:
-            density = grid.normalize(np.asarray(density0, dtype=float))
-        path = np.empty(grid.path_shape)
+            density = grid.normalize_sheet(np.asarray(density0, dtype=float))
+        path = np.empty(grid.path_shape[1:])
         path[0] = density
         n_sub = self.substeps_per_interval()
         dt_sub = grid.dt / n_sub

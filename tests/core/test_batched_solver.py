@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 from repro.core.best_response import (
     BatchedBestResponseIterator,
     BestResponseIterator,
+    build_batch_grid,
     build_grid,
 )
 from repro.core.fpk import BatchedFPKSolver, batched_initial_density, initial_density
-from repro.core.grid import BatchGrid
 from repro.core.hjb import BatchedHJBSolver, validate_shared_lane_params
 from repro.core.mean_field import MeanFieldEstimator
 from repro.core.operators import (
@@ -138,42 +138,43 @@ class TestBatchedOperators:
 
 
 class TestBatchGrid:
-    def test_from_grids_stacks_lanes(self):
+    def test_batch_grid_stacks_lanes(self):
         configs = lane_configs()
         grids = [build_grid(cfg) for cfg in configs]
-        batch = BatchGrid.from_grids(grids)
+        batch = build_batch_grid(configs)
         assert batch.n_lanes == 3
         assert batch.shape == (3, grids[0].n_h, grids[0].n_q)
         for b, grid in enumerate(grids):
-            lane = batch.lane(b)
+            lane = batch.select([b])
             assert np.array_equal(lane.t, grid.t)
             assert np.array_equal(lane.h, grid.h)
             assert np.array_equal(lane.q, grid.q)
 
-    def test_from_grids_rejects_mismatched_time_axes(self):
+    def test_batch_grid_rejects_mismatched_time_axes(self):
         configs = lane_configs()
-        grids = [build_grid(configs[0]), build_grid(replace(configs[1], n_time_steps=9))]
         with pytest.raises(ValueError, match="different time axis"):
-            BatchGrid.from_grids(grids)
+            build_batch_grid([configs[0], replace(configs[1], n_time_steps=9)])
 
     def test_integrate_matches_per_lane(self):
+        # A lane's mass is, bit for bit, the 2-D trapezoid sum of its
+        # sheet, so one-content reductions may run on (n_h, n_q) sheets.
         grids = [build_grid(cfg) for cfg in lane_configs()]
-        batch = BatchGrid.from_grids(grids)
+        batch = build_batch_grid(lane_configs())
         rng = np.random.default_rng(5)
         fields = rng.random(batch.shape)
         masses = batch.integrate(fields)
         for b, grid in enumerate(grids):
-            assert masses[b] == grid.integrate(fields[b])
+            assert masses[b] == (fields[b] * grid.cell_weights()[0]).sum()
 
     def test_select_subsets_lanes(self):
-        batch = BatchGrid.from_grids([build_grid(cfg) for cfg in lane_configs()])
+        batch = build_batch_grid(lane_configs())
         sub = batch.select(np.array([2, 0]))
         assert sub.n_lanes == 2
         assert np.array_equal(sub.q[0], batch.q[2])
         assert np.array_equal(sub.q[1], batch.q[0])
 
     def test_normalize_zero_mass_names_content(self):
-        batch = BatchGrid.from_grids([build_grid(cfg) for cfg in lane_configs()])
+        batch = build_batch_grid(lane_configs())
         density = np.ones(batch.shape)
         density[1] = 0.0
         with pytest.raises(ValueError, match="content 42"):
@@ -187,7 +188,7 @@ class TestBatchedSweeps:
     def setup(self):
         configs = lane_configs()
         grids = [build_grid(cfg) for cfg in configs]
-        batch = BatchGrid.from_grids(grids)
+        batch = build_batch_grid(configs)
         mean_fields = [
             MeanFieldEstimator(cfg, grid).constant_guess()
             for cfg, grid in zip(configs, grids)
@@ -241,7 +242,7 @@ class TestBatchedSweeps:
         other = replace(
             base, caching=replace(base.caching, noise=3.0 * base.caching.noise)
         )
-        batch = BatchGrid.from_grids([build_grid(base), build_grid(other)])
+        batch = build_batch_grid([base, other])
         with pytest.raises(ValueError, match="caching process"):
             BatchedFPKSolver([base, other], batch)
 
@@ -267,7 +268,7 @@ class TestReferenceProperty:
     def test_batched_sweeps_equal_reference_per_lane(self, specs, seed):
         configs = [tiny_config(**spec) for spec in specs]
         grids = [build_grid(cfg) for cfg in configs]
-        batch = BatchGrid.from_grids(grids)
+        batch = build_batch_grid(configs)
         rng = np.random.default_rng(seed)
 
         # HJB against a perturbed market, so price, peer state and
@@ -404,8 +405,7 @@ class TestPerLaneDiagnostics:
 
     def test_zero_mass_strict_failure_names_content(self):
         configs = lane_configs()
-        grids = [build_grid(cfg) for cfg in configs]
-        batch = BatchGrid.from_grids(grids)
+        batch = build_batch_grid(configs)
         telemetry = SolverTelemetry.buffered()
         telemetry.strict_numerics = True
         fpk = BatchedFPKSolver(

@@ -5,7 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.best_response import BestResponseIterator, build_grid
+from repro.core.best_response import (
+    BatchedBestResponseIterator,
+    BestResponseIterator,
+    build_grid,
+)
 from repro.core.hjb import HJBSolver
 from repro.core.parameters import MFGCPConfig
 
@@ -20,8 +24,8 @@ class TestBuildGrid:
 
     def test_q_axis_spans_content(self, fast_config):
         grid = build_grid(fast_config)
-        assert grid.q[0] == 0.0
-        assert grid.q[-1] == fast_config.content_size
+        assert grid.q[0, 0] == 0.0
+        assert grid.q[0, -1] == fast_config.content_size
 
     def test_h_axis_positive(self, fast_config):
         assert build_grid(fast_config).h[0] > 0.0
@@ -49,7 +53,7 @@ class TestSolve:
     def test_density_path_mass(self, solved_equilibrium):
         grid = solved_equilibrium.grid
         for sheet in solved_equilibrium.density[:: max(1, grid.n_t // 5)]:
-            assert grid.integrate(sheet) == pytest.approx(1.0, abs=1e-9)
+            assert grid.integrate(sheet[None])[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_policy_bounds(self, solved_equilibrium):
         table = solved_equilibrium.policy.table
@@ -100,7 +104,7 @@ class TestSolve:
         iterator = BestResponseIterator(fast_config)
         with pytest.raises(ValueError, match="initial policy shape"):
             iterator.solve(initial_policy=np.zeros((2, 2)))
-        bad = np.full(iterator.grid.path_shape, 1.7)
+        bad = np.full(iterator.grid.path_shape[1:], 1.7)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             iterator.solve(initial_policy=bad)
 
@@ -111,3 +115,31 @@ class TestSolve:
         for record in history:
             assert 0.0 <= record.mean_control <= 1.0
             assert record.mean_price <= MFGCPConfig.fast().p_hat + 1e-9
+
+
+class TestResultMassExpression:
+    """Per-time masses as the end-to-end benchmark computes them.
+
+    The benchmark reads ``(eq.density * eq.grid.cell_weights()).sum(axis=(1, 2))``
+    off each result, with the result's one-lane weights broadcasting
+    over the time axis.
+    """
+
+    @staticmethod
+    def masses(eq):
+        return (eq.density * eq.grid.cell_weights()).sum(axis=(1, 2))
+
+    def test_single_solve(self, solved_equilibrium):
+        masses = self.masses(solved_equilibrium)
+        assert masses.shape == (solved_equilibrium.grid.n_t + 1,)
+        assert np.max(np.abs(masses - 1.0)) < 1e-9
+
+    def test_every_lane_of_a_batch(self, fast_config):
+        configs = [
+            replace(fast_config, content_size=size, popularity=pop)
+            for size, pop in ((40.0, 0.9), (100.0, 0.5), (150.0, 0.3))
+        ]
+        for eq in BatchedBestResponseIterator(configs).solve():
+            masses = self.masses(eq)
+            assert masses.shape == (eq.grid.n_t + 1,)
+            assert np.max(np.abs(masses - 1.0)) < 1e-9

@@ -63,7 +63,7 @@ class TestEquilibriumResult:
 
     def test_mean_remaining_space_matches_density(self, solved_equilibrium):
         res = solved_equilibrium
-        manual = res.grid.expectation(res.density[0], res.grid.q_mesh())
+        manual = res.grid.integrate(res.density[0] * res.grid.q_mesh())[0]
         assert res.mean_remaining_space()[0] == pytest.approx(manual, rel=1e-9)
 
     def test_density_at_returns_copy(self, solved_equilibrium):

@@ -23,7 +23,6 @@ import pytest
 from repro.core.best_response import BestResponseIterator, build_grid
 from repro.core.equilibrium import ConvergenceReport, EquilibriumResult
 from repro.core.fpk import BatchedFPKSolver, batched_initial_density
-from repro.core.grid import BatchGrid
 from repro.core.hjb import BatchedHJBSolver
 from repro.core.mean_field import MeanFieldEstimator
 from repro.core.parameters import MFGCPConfig
@@ -56,11 +55,10 @@ def family():
 
 def tight_reference(config):
     """Plain damped policy iteration to ``TIGHT_TOLERANCE`` on one lane."""
-    lane_grid = build_grid(config)
-    grid = BatchGrid.from_grids([lane_grid])
+    grid = build_grid(config)
     hjb = BatchedHJBSolver([config], grid)
     fpk = BatchedFPKSolver([config], grid)
-    estimator = MeanFieldEstimator(config, lane_grid)
+    estimator = MeanFieldEstimator(config, grid)
     density0 = batched_initial_density(grid, [config])
 
     def refresh(policy):
@@ -82,9 +80,9 @@ def tight_reference(config):
     )
     return EquilibriumResult(
         config=config,
-        grid=lane_grid,
+        grid=grid,
         value=value[0],
-        policy=CachingPolicy(grid=lane_grid, table=policy[0]),
+        policy=CachingPolicy(grid=grid, table=policy[0]),
         density=density[0],
         mean_field=fields[0],
         report=report,

@@ -17,26 +17,26 @@ def setup(fast_config):
 
 
 def constant_policy(grid, level):
-    return np.full(grid.path_shape, level)
+    return np.full(grid.path_shape[1:], level)
 
 
 class TestInitialDensity:
     def test_unit_mass(self, setup):
         cfg, grid, _ = setup
         density = initial_density(grid, cfg)
-        assert grid.integrate(density) == pytest.approx(1.0)
+        assert grid.integrate(density[None])[0] == pytest.approx(1.0)
 
     def test_centered_at_configured_mean(self, setup):
         cfg, grid, _ = setup
         density = initial_density(grid, cfg)
-        mean_q = grid.expectation(density, grid.q_mesh())
+        mean_q = grid.integrate(density * grid.q_mesh())[0]
         target, _ = cfg.initial_density_moments()
         assert mean_q == pytest.approx(target, abs=2.0)
 
     def test_custom_moments(self, setup):
         cfg, grid, _ = setup
         density = initial_density(grid, cfg, mean_q=30.0, std_q=5.0)
-        mean_q = grid.expectation(density, grid.q_mesh())
+        mean_q = grid.integrate(density * grid.q_mesh())[0]
         assert mean_q == pytest.approx(30.0, abs=2.0)
 
     def test_rejects_bad_std(self, setup):
@@ -50,7 +50,7 @@ class TestForwardSweep:
         cfg, grid, solver = setup
         path = solver.solve(constant_policy(grid, 0.5))
         for sheet in path:
-            assert grid.integrate(sheet) == pytest.approx(1.0, abs=1e-9)
+            assert grid.integrate(sheet[None])[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_density_stays_nonnegative(self, setup):
         _, grid, solver = setup
@@ -61,16 +61,16 @@ class TestForwardSweep:
         cfg, grid, solver = setup
         # Full caching has strongly negative drift in q.
         path = solver.solve(constant_policy(grid, 1.0))
-        mean_start = grid.expectation(path[0], grid.q_mesh())
-        mean_end = grid.expectation(path[-1], grid.q_mesh())
+        mean_start = grid.integrate(path[0] * grid.q_mesh())[0]
+        mean_end = grid.integrate(path[-1] * grid.q_mesh())[0]
         assert mean_end < mean_start - 10.0
 
     def test_discarding_moves_mass_to_higher_q(self, setup):
         cfg, grid, solver = setup
         # Zero caching: the discard terms dominate and q grows.
         path = solver.solve(constant_policy(grid, 0.0))
-        mean_start = grid.expectation(path[0], grid.q_mesh())
-        mean_end = grid.expectation(path[-1], grid.q_mesh())
+        mean_start = grid.integrate(path[0] * grid.q_mesh())[0]
+        mean_end = grid.integrate(path[-1] * grid.q_mesh())[0]
         assert mean_end > mean_start
 
     def test_mean_drift_matches_theory(self, fast_config):
@@ -88,20 +88,20 @@ class TestForwardSweep:
         path = solver.solve(constant_policy(grid, level), density0)
         drift = float(cfg.drift_rate(np.array(level)))
         expected = 60.0 + drift * cfg.horizon
-        mean_end = grid.expectation(path[-1], grid.q_mesh())
+        mean_end = grid.integrate(path[-1] * grid.q_mesh())[0]
         # First-order upwind adds numerical diffusion; allow a few MB.
         assert mean_end == pytest.approx(expected, abs=4.0)
 
     def test_custom_initial_density_is_normalised(self, setup):
         cfg, grid, solver = setup
-        raw = np.ones(grid.shape)
+        raw = np.ones(grid.shape[1:])
         path = solver.solve(constant_policy(grid, 0.5), density0=raw)
-        assert grid.integrate(path[0]) == pytest.approx(1.0)
+        assert grid.integrate(path[0][None])[0] == pytest.approx(1.0)
 
     def test_policy_shape_checked(self, setup):
         _, grid, solver = setup
         with pytest.raises(ValueError, match="policy table"):
-            solver.solve(np.zeros((3, *grid.shape)))
+            solver.solve(np.zeros((3, *grid.shape[1:])))
 
     def test_substeps_positive(self, setup):
         _, _, solver = setup
@@ -110,7 +110,7 @@ class TestForwardSweep:
     def test_h_marginal_stays_near_stationary(self, setup):
         cfg, grid, solver = setup
         path = solver.solve(constant_policy(grid, 0.5))
-        mean_h_start = grid.expectation(path[0], grid.h_mesh())
-        mean_h_end = grid.expectation(path[-1], grid.h_mesh())
+        mean_h_start = grid.integrate(path[0] * grid.h_mesh())[0]
+        mean_h_end = grid.integrate(path[-1] * grid.h_mesh())[0]
         # The OU stationary start should stay near the long-term mean.
         assert mean_h_end == pytest.approx(mean_h_start, abs=0.3)

@@ -5,8 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.best_response import BestResponseIterator, build_grid
-from repro.core.grid import BatchGrid
+from repro.core.best_response import (
+    BestResponseIterator,
+    build_batch_grid,
+    build_grid,
+)
 from repro.core.hjb import BatchedHJBSolver, HJBSolver
 from repro.core.mean_field import MeanFieldEstimator
 from repro.core.parameters import MFGCPConfig
@@ -28,7 +31,7 @@ class TestBackwardSweep:
 
     def test_custom_terminal_value(self, setup):
         _, grid, solver, mf = setup
-        terminal = np.full(grid.shape, 5.0)
+        terminal = np.full(grid.shape[1:], 5.0)
         solution = solver.solve(mf, terminal_value=terminal)
         assert np.allclose(solution.value[grid.n_t], 5.0)
 
@@ -75,19 +78,6 @@ class TestBackwardSweep:
         _, _, solver, _ = setup
         assert solver.substeps_per_interval() >= 1
 
-    def test_initial_value_lookup(self, setup):
-        cfg, grid, solver, mf = setup
-        solution = solver.solve(mf)
-        v = solution.initial_value(cfg.channel.mean, 50.0)
-        ih, iq = grid.locate(cfg.channel.mean, 50.0)
-        assert v == solution.value[0, ih, iq]
-
-    def test_value_gradient_helper(self, setup):
-        _, grid, solver, mf = setup
-        solution = solver.solve(mf)
-        grad = solution.value_gradient_q(0)
-        assert grad.shape == grid.shape
-
     def test_control_from_value_consistent(self, setup):
         _, grid, solver, mf = setup
         solution = solver.solve(mf)
@@ -116,14 +106,13 @@ class TestPolicyIsGodunovConsistent:
             replace(MFGCPConfig.fast(), content_size=size)
             for size in (5.0, 20.0, 50.0, 150.0, 400.0)
         ]
-        lane_grids = [build_grid(cfg) for cfg in configs]
-        solver = BatchedHJBSolver(configs, BatchGrid.from_grids(lane_grids))
+        solver = BatchedHJBSolver(configs, build_batch_grid(configs))
         # Lanes with fewer CFL substeps than the batch maximum freeze
         # part of each interval: the frozen-lane path runs.
         assert len(set(solver.substeps.tolist())) >= 2
         mean_fields = [
-            MeanFieldEstimator(cfg, g).constant_guess()
-            for cfg, g in zip(configs, lane_grids)
+            MeanFieldEstimator(cfg, build_grid(cfg)).constant_guess()
+            for cfg in configs
         ]
         values, policies = solver.solve(mean_fields)
         for t in range(solver.grid.n_t + 1):

@@ -15,7 +15,7 @@ def setup(fast_config):
 
 
 def uniform_density_path(grid):
-    sheet = grid.normalize(np.ones(grid.shape))
+    sheet = grid.normalize_sheet(np.ones(grid.shape[1:]))
     return np.tile(sheet, (grid.n_t + 1, 1, 1))
 
 
@@ -23,7 +23,7 @@ class TestEstimate:
     def test_mean_q_of_uniform_density(self, setup):
         cfg, grid, estimator = setup
         mf = estimator.estimate(
-            uniform_density_path(grid), np.full(grid.path_shape, 0.5)
+            uniform_density_path(grid), np.full(grid.path_shape[1:], 0.5)
         )
         # E[q] under the uniform law is Q/2.
         assert np.allclose(mf.mean_q, cfg.content_size / 2, rtol=0.02)
@@ -31,14 +31,14 @@ class TestEstimate:
     def test_mean_control_matches_policy_level(self, setup):
         _, grid, estimator = setup
         mf = estimator.estimate(
-            uniform_density_path(grid), np.full(grid.path_shape, 0.37)
+            uniform_density_path(grid), np.full(grid.path_shape[1:], 0.37)
         )
         assert np.allclose(mf.mean_control, 0.37, rtol=1e-6)
 
     def test_price_follows_eq17(self, setup):
         cfg, grid, estimator = setup
         mf = estimator.estimate(
-            uniform_density_path(grid), np.full(grid.path_shape, 0.5)
+            uniform_density_path(grid), np.full(grid.path_shape[1:], 0.5)
         )
         expected = cfg.p_hat - cfg.eta1 * cfg.content_size * 0.5
         assert np.allclose(mf.price, expected, rtol=1e-6)
@@ -46,7 +46,7 @@ class TestEstimate:
     def test_qualified_fraction_of_uniform(self, setup):
         cfg, grid, estimator = setup
         mf = estimator.estimate(
-            uniform_density_path(grid), np.full(grid.path_shape, 0.5)
+            uniform_density_path(grid), np.full(grid.path_shape[1:], 0.5)
         )
         # Under the uniform law the sub-threshold mass is ~alpha.
         assert np.allclose(mf.qualified_fraction, cfg.alpha, atol=0.05)
@@ -59,14 +59,14 @@ class TestEstimate:
         grid = build_grid(cfg)
         estimator = MeanFieldEstimator(cfg, grid)
         mf = estimator.estimate(
-            uniform_density_path(grid), np.full(grid.path_shape, 0.5)
+            uniform_density_path(grid), np.full(grid.path_shape[1:], 0.5)
         )
         assert np.all(mf.sharing_benefit == 0.0)
 
     def test_transfer_is_partial_expectation_gap(self, setup):
         cfg, grid, estimator = setup
         mf = estimator.estimate(
-            uniform_density_path(grid), np.full(grid.path_shape, 0.5)
+            uniform_density_path(grid), np.full(grid.path_shape[1:], 0.5)
         )
         q = grid.q_mesh()
         weights = grid.cell_weights()
@@ -79,7 +79,7 @@ class TestEstimate:
         _, grid, estimator = setup
         good = uniform_density_path(grid)
         with pytest.raises(ValueError, match="density"):
-            estimator.estimate(good[:2], np.full(grid.path_shape, 0.5))
+            estimator.estimate(good[:2], np.full(grid.path_shape[1:], 0.5))
         with pytest.raises(ValueError, match="policy"):
             estimator.estimate(good, np.full((2, 2), 0.5))
 
@@ -88,7 +88,7 @@ class TestMeanFieldPath:
     def test_context_round_trip(self, setup):
         cfg, grid, estimator = setup
         mf = estimator.estimate(
-            uniform_density_path(grid), np.full(grid.path_shape, 0.5)
+            uniform_density_path(grid), np.full(grid.path_shape[1:], 0.5)
         )
         ctx = mf.context(0)
         assert ctx.price == pytest.approx(float(mf.price[0]))

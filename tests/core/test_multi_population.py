@@ -107,7 +107,7 @@ class TestTwoClassEquilibrium:
     def test_densities_unit_mass(self, result):
         for res in result.class_results:
             grid = res.grid
-            assert grid.integrate(res.density[-1]) == pytest.approx(1.0, abs=1e-9)
+            assert grid.integrate(res.density[-1][None])[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_bootstrap_rejected(self, fast_config):
         a, b = two_class_configs(fast_config)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.policy import CachingPolicy, optimal_control
 
 
 def make_grid(n_t=4, n_h=5, n_q=9):
-    return StateGrid.regular(1.0, n_t, (4.0, 6.0), n_h, 100.0, n_q)
+    return BatchGrid.regular(1.0, n_t, (4.0, 6.0), n_h, 100.0, n_q)
 
 
 class TestOptimalControl:
@@ -56,7 +56,7 @@ class TestCachingPolicy:
     def make_policy(self):
         grid = make_grid()
         # Policy increasing in q, constant in h, scaled by time index.
-        table = np.empty(grid.path_shape)
+        table = np.empty(grid.path_shape[1:])
         for ti in range(grid.n_t + 1):
             scale = 1.0 - ti / (grid.n_t + 1)
             table[ti] = np.tile(np.linspace(0, 1, grid.n_q), (grid.n_h, 1)) * scale
@@ -64,12 +64,12 @@ class TestCachingPolicy:
 
     def test_lookup_on_grid_points(self):
         policy, grid = self.make_policy()
-        assert policy(0.0, grid.h[0], grid.q[0]) == pytest.approx(0.0)
-        assert policy(0.0, grid.h[2], grid.q[-1]) == pytest.approx(1.0)
+        assert policy(0.0, grid.h[0], grid.q[0, 0]) == pytest.approx(0.0)
+        assert policy(0.0, grid.h[2], grid.q[0, -1]) == pytest.approx(1.0)
 
     def test_bilinear_interpolation_midpoint(self):
         policy, grid = self.make_policy()
-        mid_q = 0.5 * (grid.q[0] + grid.q[1])
+        mid_q = 0.5 * (grid.q[0, 0] + grid.q[0, 1])
         expected = 0.5 * (policy.table[0, 0, 0] + policy.table[0, 0, 1])
         assert policy(0.0, grid.h[0], mid_q) == pytest.approx(expected)
 
@@ -109,7 +109,7 @@ class TestCachingPolicy:
     def test_mean_against_uniform_density(self):
         policy, grid = self.make_policy()
         density = np.tile(
-            grid.normalize(np.ones(grid.shape)), (grid.n_t + 1, 1, 1)
+            grid.normalize(np.ones(grid.shape))[0], (grid.n_t + 1, 1, 1)
         )
         means = policy.mean_against(density)
         assert means.shape == (grid.n_t + 1,)
@@ -120,11 +120,11 @@ class TestCachingPolicy:
     def test_mean_against_shape_mismatch(self):
         policy, grid = self.make_policy()
         with pytest.raises(ValueError, match="shape"):
-            policy.mean_against(np.ones((2, *grid.shape)))
+            policy.mean_against(np.ones((2, *grid.shape[1:])))
 
     def test_rejects_out_of_range_table(self):
         grid = make_grid()
-        table = np.full(grid.path_shape, 1.5)
+        table = np.full(grid.path_shape[1:], 1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             CachingPolicy(grid=grid, table=table)
 

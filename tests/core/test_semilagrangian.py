@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.best_response import build_grid
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.mean_field import MeanFieldEstimator
 from repro.core.parameters import MFGCPConfig
 from repro.core.semilagrangian import (
@@ -18,28 +18,28 @@ from repro.core.semilagrangian import (
 
 @pytest.fixture
 def grid():
-    return StateGrid.regular(1.0, 10, (4.0, 6.0), 6, 100.0, 11)
+    return BatchGrid.regular(1.0, 10, (4.0, 6.0), 6, 100.0, 11)
 
 
 class TestBilinearInterpolate:
     def test_exact_on_grid_nodes(self, grid):
         rng = np.random.default_rng(0)
-        field = rng.uniform(0, 1, grid.shape)
-        H, Q = np.meshgrid(grid.h, grid.q, indexing="ij")
+        field = rng.uniform(0, 1, grid.shape[1:])
+        H, Q = np.meshgrid(grid.h, grid.q[0], indexing="ij")
         out = bilinear_interpolate(field, grid, H, Q)
         assert np.allclose(out, field)
 
     def test_exact_on_bilinear_function(self, grid):
-        field = 2.0 * grid.h_mesh() + 0.3 * grid.q_mesh() + 1.0
+        field = 2.0 * grid.h_mesh()[0] + 0.3 * grid.q_mesh()[0] + 1.0
         h_pts = np.array([4.3, 5.7])
         q_pts = np.array([12.5, 87.5])
         out = bilinear_interpolate(field, grid, h_pts, q_pts)
         assert np.allclose(out, 2.0 * h_pts + 0.3 * q_pts + 1.0)
 
     def test_clamps_outside_points(self, grid):
-        field = grid.q_mesh().astype(float)
+        field = grid.q_mesh()[0].astype(float)
         out = bilinear_interpolate(field, grid, np.array([5.0]), np.array([1e9]))
-        assert out[0] == pytest.approx(grid.q[-1])
+        assert out[0] == pytest.approx(grid.q[0, -1])
 
     def test_shape_checked(self, grid):
         with pytest.raises(ValueError, match="field shape"):
@@ -57,7 +57,7 @@ class TestBilinearDeposit:
 
     def test_point_on_node_deposits_there(self, grid):
         out = bilinear_deposit(
-            np.array([2.0]), grid, np.array([grid.h[2]]), np.array([grid.q[3]])
+            np.array([2.0]), grid, np.array([grid.h[2]]), np.array([grid.q[0, 3]])
         )
         assert out[2, 3] == pytest.approx(2.0)
         assert out.sum() == pytest.approx(2.0)
@@ -65,7 +65,7 @@ class TestBilinearDeposit:
     def test_adjoint_of_interpolation(self, grid):
         # <interp(f), m> == <f, deposit(m)> for any field/mass pair.
         rng = np.random.default_rng(2)
-        field = rng.uniform(0, 1, grid.shape)
+        field = rng.uniform(0, 1, grid.shape[1:])
         mass = rng.uniform(0, 1, 30)
         h_pts = rng.uniform(4.0, 6.0, 30)
         q_pts = rng.uniform(0.0, 100.0, 30)
@@ -97,16 +97,16 @@ class TestSLSolvers:
     def test_fpk_mass_conserved(self, fast_config):
         grid = build_grid(fast_config)
         solver = SLFPKSolver(fast_config, grid)
-        path = solver.solve(np.full(grid.path_shape, 0.7))
+        path = solver.solve(np.full(grid.path_shape[1:], 0.7))
         for sheet in path[:: max(1, grid.n_t // 4)]:
-            assert grid.integrate(sheet) == pytest.approx(1.0, abs=1e-9)
+            assert grid.integrate(sheet[None])[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_fpk_caching_moves_mass_down(self, fast_config):
         grid = build_grid(fast_config)
         solver = SLFPKSolver(fast_config, grid)
-        path = solver.solve(np.full(grid.path_shape, 1.0))
-        mean0 = grid.expectation(path[0], grid.q_mesh())
-        mean1 = grid.expectation(path[-1], grid.q_mesh())
+        path = solver.solve(np.full(grid.path_shape[1:], 1.0))
+        mean0 = grid.integrate(path[0] * grid.q_mesh())[0]
+        mean1 = grid.integrate(path[-1] * grid.q_mesh())[0]
         assert mean1 < mean0 - 10.0
 
     def test_fpk_shape_checked(self, fast_config):

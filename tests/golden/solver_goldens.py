@@ -34,7 +34,6 @@ import scipy
 from repro.core.best_response import BatchedBestResponseIterator, BestResponseIterator
 from repro.core.multi_population import MultiPopulationIterator
 from repro.core.parameters import ChannelParameters, MFGCPConfig
-from repro.core.stationary import StationarySolver
 
 GOLDEN_PATH = Path(__file__).with_name("solver_goldens.json")
 
@@ -99,22 +98,6 @@ def _equilibrium_record(eq) -> Dict[str, object]:
     }
 
 
-def _stationary_record(res) -> Dict[str, object]:
-    arrays = {
-        "value": res.value,
-        "policy": res.policy,
-        "density": res.density,
-        "price": res.price,
-        "mean_q": res.mean_q,
-        "mean_control": res.mean_control,
-    }
-    return {
-        "arrays": {name: _array_record(a) for name, a in arrays.items()},
-        "n_iterations": int(res.n_iterations),
-        "final_policy_change": None,
-    }
-
-
 def _single(config: MFGCPConfig) -> List[Dict[str, object]]:
     return [_equilibrium_record(BestResponseIterator(config).solve())]
 
@@ -131,11 +114,6 @@ def _catalog_lanes() -> List[Dict[str, object]]:
     ]
 
 
-def _stationary() -> List[Dict[str, object]]:
-    res = StationarySolver(MFGCPConfig.fast(), discount=1.0).solve()
-    return [_stationary_record(res)]
-
-
 def _multi_population() -> List[Dict[str, object]]:
     res = MultiPopulationIterator(two_class_configs(), [0.3, 0.7]).solve()
     return [_equilibrium_record(eq) for eq in res.class_results]
@@ -146,7 +124,6 @@ CASES: Dict[str, Callable[[], List[Dict[str, object]]]] = {
     "single-fast": lambda: _single(MFGCPConfig.fast()),
     "catalog-batch": _catalog_batch,
     "catalog-lanes": _catalog_lanes,
-    "stationary": _stationary,
     "multi-population": _multi_population,
 }
 

@@ -45,7 +45,7 @@ class TestMeanFieldPredictsPopulation:
         # Final-time histogram vs FPK marginal over q: same mode region.
         grid = solved_equilibrium.grid
         marginal = grid.marginal_q(solved_equilibrium.density[-1])
-        mode_q = grid.q[int(np.argmax(marginal))]
+        mode_q = grid.q[0, int(np.argmax(marginal))]
         sim_mean = population_report.final_state.remaining.mean()
         assert abs(sim_mean - solved_equilibrium.mean_field.mean_q[-1]) < 6.0
         assert abs(mode_q - np.median(population_report.final_state.remaining)) < 20.0

@@ -167,7 +167,7 @@ class TestIndividualProbes:
         for scale, expected in ((1.0, "info"), (1.0 + 1e-5, "warning"),
                                 (1.5, "error")):
             tele = SolverTelemetry.buffered()
-            density = grid.normalize(np.ones((grid.n_h, grid.n_q))) * scale
+            density = grid.normalize_sheet(np.ones(grid.shape[1:])) * scale
 
             class Ctx:
                 telemetry = tele
@@ -235,7 +235,7 @@ class TestZeroMassDiagnostic:
     def test_normalize_zero_mass_emits_diag_then_raises(self):
         grid = build_grid(tiny_config())
         tele = SolverTelemetry.buffered()
-        zero = np.zeros((grid.n_h, grid.n_q))
+        zero = np.zeros(grid.shape)
         # The established error message is part of the API: callers
         # (and their tests) match on it.
         with pytest.raises(ValueError,
@@ -249,7 +249,7 @@ class TestZeroMassDiagnostic:
     def test_normalize_zero_mass_without_telemetry_still_raises(self):
         grid = build_grid(tiny_config())
         with pytest.raises(ValueError, match="zero mass"):
-            grid.normalize(np.zeros((grid.n_h, grid.n_q)))
+            grid.normalize(np.zeros(grid.shape))
 
     def test_fpk_solver_threads_telemetry_into_normalize(self):
         config = tiny_config()
@@ -258,7 +258,7 @@ class TestZeroMassDiagnostic:
         solver = FPKSolver(config, grid, telemetry=tele)
         with pytest.raises(ValueError, match="zero mass"):
             solver.solve(
-                np.zeros(grid.path_shape),
+                np.zeros(grid.path_shape[1:]),
                 density0=np.zeros((grid.n_h, grid.n_q)),
             )
         assert any(e["ev"] == "diag.density.zero_mass"

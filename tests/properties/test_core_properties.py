@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grid import StateGrid
+from repro.core.grid import BatchGrid
 from repro.core.knapsack import KnapsackItem, solve_01_knapsack, solve_fractional_knapsack
 from repro.core.operators import (
     batched_conservative_advection,
@@ -116,7 +116,7 @@ class TestGridProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_integration_linear_in_field(self, a, b, c):
-        grid = StateGrid.regular(1.0, 4, (4.0, 6.0), 5, 100.0, 9)
+        grid = BatchGrid.regular(1.0, 4, (4.0, 6.0), 5, 100.0, 9)
         f = grid.h_mesh()
         g = grid.q_mesh()
         combined = grid.integrate(a * f + b * g + c)

@@ -45,9 +45,9 @@ class TestFPKProperties:
             mean_q=mean_frac * _CFG.content_size,
             std_q=std_frac * _CFG.content_size,
         )
-        path = _FPK.solve(np.full(_GRID.path_shape, level), density0)
+        path = _FPK.solve(np.full(_GRID.path_shape[1:], level), density0)
         assert np.all(path >= 0.0)
-        assert _GRID.integrate(path[-1]) == pytest.approx(1.0, abs=1e-9)
+        assert _GRID.integrate(path[-1][None])[0] == pytest.approx(1.0, abs=1e-9)
 
     @given(level=st.floats(0.0, 1.0, **finite), seed=st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
@@ -57,22 +57,22 @@ class TestFPKProperties:
         wobble = 0.2 * rng.uniform(-1, 1)
         policy = np.clip(
             level + wobble * np.sin(np.linspace(0, 3, _GRID.n_t + 1)), 0.0, 1.0
-        )[:, None, None] * np.ones(_GRID.shape)
+        )[:, None, None] * np.ones(_GRID.shape[1:])
         density0 = initial_density(_GRID, _CFG)
         fd_path = _FPK.solve(policy, density0)
         sl_path = _SL_FPK.solve(policy, density0)
-        fd_mean = _GRID.expectation(fd_path[-1], _GRID.q_mesh())
-        sl_mean = _GRID.expectation(sl_path[-1], _GRID.q_mesh())
+        fd_mean = _GRID.integrate(fd_path[-1] * _GRID.q_mesh())[0]
+        sl_mean = _GRID.integrate(sl_path[-1] * _GRID.q_mesh())[0]
         assert fd_mean == pytest.approx(sl_mean, abs=6.0)
 
     @given(level=st.floats(0.0, 1.0, **finite))
     @settings(max_examples=15, deadline=None)
     def test_more_caching_lowers_mean_state(self, level):
         density0 = initial_density(_GRID, _CFG)
-        lo = _FPK.solve(np.full(_GRID.path_shape, 0.0), density0)
-        hi = _FPK.solve(np.full(_GRID.path_shape, max(level, 0.3)), density0)
-        mean_lo = _GRID.expectation(lo[-1], _GRID.q_mesh())
-        mean_hi = _GRID.expectation(hi[-1], _GRID.q_mesh())
+        lo = _FPK.solve(np.full(_GRID.path_shape[1:], 0.0), density0)
+        hi = _FPK.solve(np.full(_GRID.path_shape[1:], max(level, 0.3)), density0)
+        mean_lo = _GRID.integrate(lo[-1] * _GRID.q_mesh())[0]
+        mean_hi = _GRID.integrate(hi[-1] * _GRID.q_mesh())[0]
         assert mean_hi <= mean_lo + 1e-6
 
 
@@ -82,9 +82,9 @@ class TestHJBProperties:
     def test_comparison_principle_terminal_shift(self, offset):
         # V solved from terminal condition G + c dominates V from G
         # pointwise (monotone scheme + constant shift invariance).
-        base = _HJB.solve(_MF, terminal_value=np.zeros(_GRID.shape))
+        base = _HJB.solve(_MF, terminal_value=np.zeros(_GRID.shape[1:]))
         shifted = _HJB.solve(
-            _MF, terminal_value=np.full(_GRID.shape, offset)
+            _MF, terminal_value=np.full(_GRID.shape[1:], offset)
         )
         assert np.all(shifted.value[0] >= base.value[0] - 1e-8)
         # For a constant shift the gap is exactly the shift.
@@ -98,8 +98,8 @@ class TestHJBProperties:
     @settings(max_examples=15, deadline=None)
     def test_comparison_principle_random_terminals(self, lo, hi, seed):
         rng = np.random.default_rng(seed)
-        g1 = rng.uniform(0.0, min(lo, hi) + 1e-6, _GRID.shape)
-        g2 = g1 + rng.uniform(0.0, abs(hi - lo) + 1e-6, _GRID.shape)
+        g1 = rng.uniform(0.0, min(lo, hi) + 1e-6, _GRID.shape[1:])
+        g2 = g1 + rng.uniform(0.0, abs(hi - lo) + 1e-6, _GRID.shape[1:])
         v1 = _HJB.solve(_MF, terminal_value=g1).value[0]
         v2 = _HJB.solve(_MF, terminal_value=g2).value[0]
         assert np.all(v2 >= v1 - 1e-8)
@@ -108,7 +108,7 @@ class TestHJBProperties:
     @settings(max_examples=10, deadline=None)
     def test_policy_always_feasible(self, seed):
         rng = np.random.default_rng(seed)
-        terminal = rng.uniform(0.0, 30.0, _GRID.shape)
+        terminal = rng.uniform(0.0, 30.0, _GRID.shape[1:])
         table = _HJB.solve(_MF, terminal_value=terminal).policy.table
         assert np.all(table >= 0.0)
         assert np.all(table <= 1.0)

@@ -474,16 +474,11 @@ class TestExportCommand:
         assert (out_dir / "summary.json").exists()
 
 
-class TestStationaryCommand:
-    def test_prints_stationary_market(self, capsys):
-        assert main(["stationary", "--fast", "--discount", "1.5"]) == 0
-        out = capsys.readouterr().out
-        assert "stationary equilibrium converged" in out
-        assert "stationary price" in out
-
-    def test_rejects_bad_discount(self):
-        with pytest.raises(ValueError, match="discount"):
-            main(["stationary", "--fast", "--discount", "0"])
+class TestRemovedCommands:
+    def test_stationary_is_not_a_command(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["stationary", "--fast"])
+        assert exc.value.code == 2
 
 
 class TestVerifyCommand:

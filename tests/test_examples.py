@@ -24,7 +24,7 @@ class TestExamplesCompile:
             "capacity_constrained_caching.py",
             "breaking_news_cycle.py",
             "heterogeneous_edge.py",
-            "stationary_operations.py",
+            "decision_support.py",
         } <= names
 
     @pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)
