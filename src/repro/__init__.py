@@ -32,8 +32,8 @@ from repro.core.best_response import (
 )
 from repro.core.equilibrium import ConvergenceReport, EquilibriumResult, IterationRecord
 from repro.core.policy import CachingPolicy, optimal_control
-from repro.core.hjb import HJBSolution, HJBSolver
-from repro.core.fpk import FPKSolver, initial_density
+from repro.core.hjb import BatchedHJBSolver, HJBSolution
+from repro.core.fpk import BatchedFPKSolver, initial_density
 from repro.core.mean_field import MeanFieldEstimator, MeanFieldPath
 from repro.core.knapsack import (
     KnapsackItem,
@@ -159,9 +159,9 @@ __all__ = [
     "IterationRecord",
     "CachingPolicy",
     "optimal_control",
-    "HJBSolver",
+    "BatchedHJBSolver",
     "HJBSolution",
-    "FPKSolver",
+    "BatchedFPKSolver",
     "initial_density",
     "MeanFieldEstimator",
     "MeanFieldPath",

@@ -9,8 +9,8 @@ knapsack extension.
 from repro.core.parameters import MFGCPConfig, PaperParameters, ChannelParameters, CachingParameters
 from repro.core.grid import BatchGrid
 from repro.core.policy import CachingPolicy, optimal_control
-from repro.core.hjb import BatchedHJBSolver, HJBSolver, HJBSolution
-from repro.core.fpk import BatchedFPKSolver, FPKSolver, batched_initial_density, initial_density
+from repro.core.hjb import BatchedHJBSolver, HJBSolution
+from repro.core.fpk import BatchedFPKSolver, batched_initial_density, initial_density
 from repro.core.mean_field import MeanFieldEstimator, MeanFieldPath
 from repro.core.best_response import (
     BatchedBestResponseIterator,
@@ -46,10 +46,8 @@ __all__ = [
     "BatchGrid",
     "CachingPolicy",
     "optimal_control",
-    "HJBSolver",
     "HJBSolution",
     "BatchedHJBSolver",
-    "FPKSolver",
     "initial_density",
     "BatchedFPKSolver",
     "batched_initial_density",

@@ -28,9 +28,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.equilibrium import ConvergenceReport, EquilibriumResult, IterationRecord
-from repro.core.fpk import BatchedFPKSolver, FPKSolver, batched_initial_density
+from repro.core.fpk import BatchedFPKSolver, batched_initial_density
 from repro.core.grid import BatchGrid
-from repro.core.hjb import BatchedHJBSolver, HJBSolution, HJBSolver
+from repro.core.hjb import BatchedHJBSolver
 from repro.core.mean_field import MeanFieldEstimator, MeanFieldPath
 from repro.core.parameters import MFGCPConfig
 from repro.core.policy import CachingPolicy
@@ -336,21 +336,17 @@ class BatchedBestResponseIterator:
             contents=list(self.content_ids),
         )
         if diagnostics is not None:
-            # The probes inspect one content at a time, through one-lane
-            # views of that lane's config and grid.
-            lane_hjb = [
-                HJBSolver(cfg, est.grid)
-                for cfg, est in zip(self.configs, self.estimators)
-            ]
+            # The probes inspect one content at a time: its lane of the
+            # batched sweeps, with that lane's config and grid.
             for b, diag in enumerate(diagnostics):
-                lane_grid = self.estimators[b].grid
                 diag.solve_start(
                     SolveStartContext(
                         telemetry=lane_teles[b],
-                        grid=lane_grid,
+                        grid=self.estimators[b].grid,
                         config=self.configs[b],
-                        fpk=FPKSolver(self.configs[b], lane_grid, tele),
-                        hjb=lane_hjb[b],
+                        fpk=self.fpk,
+                        hjb=self.hjb,
+                        lane=b,
                     )
                 )
         with tele.span("bootstrap"):
@@ -427,21 +423,16 @@ class BatchedBestResponseIterator:
                 )
             if diagnostics is not None:
                 for j, b in enumerate(active):
-                    lane_grid = self.estimators[b].grid
-                    solution = HJBSolution(
-                        grid=lane_grid,
-                        value=value_paths[b],
-                        policy=CachingPolicy(grid=lane_grid, table=new_tables[j]),
-                    )
                     diagnostics[b].iteration(
                         IterationContext(
                             telemetry=lane_teles[b],
-                            grid=lane_grid,
+                            grid=self.estimators[b].grid,
                             config=self.configs[b],
-                            hjb=lane_hjb[b],
+                            hjb=self.hjb,
+                            lane=b,
                             iteration=iteration,
                             density_path=density_paths[b],
-                            solution=solution,
+                            value_path=value_paths[b],
                             mean_field=mean_fields[b],
                             policy_change=float(pc[j]),
                         )

@@ -12,6 +12,9 @@ drift under the current policy.  The solver uses conservative
 donor-cell advection and zero-flux diffusion so total probability mass
 is preserved exactly; the reflecting boundary in ``q`` mirrors the
 physical clamp of the remaining space to ``[0, Q_k]``.
+
+The sweep carries a leading content-lane axis
+(:class:`BatchedFPKSolver`); a single content is the batch of one lane.
 """
 
 from __future__ import annotations
@@ -94,14 +97,16 @@ class BatchedFPKSolver:
     """The forward conservative sweep of Eq. (15) over a batch of content lanes.
 
     This is the one FPK implementation; a single content is the batch
-    of one lane (:class:`FPKSolver`).  The donor-cell advection,
-    zero-flux diffusion, positivity clip, and per-substep
-    renormalisation all act elementwise along the lane axis, so a
-    lane's density path does not depend on the batch it rides in.
+    of one lane.  The donor-cell advection, zero-flux diffusion,
+    positivity clip, and per-substep renormalisation all act
+    elementwise along the lane axis, so a lane's density path does not
+    depend on the batch it rides in.
     Lanes must share the channel, caching and economic parameters
     (:func:`~repro.core.hjb.validate_shared_lane_params`): the fading
     drift and both diffusions are common to the batch.
-    ``content_ids`` names the lanes in zero-mass diagnostics so a
+    ``telemetry`` is only consulted on the zero-mass failure path of
+    the renormalisation, which records a ``diag.density.zero_mass``
+    event before raising; ``content_ids`` names the lanes in it, so a
     strict-numerics abort identifies the offending content.
     """
 
@@ -270,63 +275,3 @@ class BatchedFPKSolver:
                     )
             path[:, ti + 1] = density
         return path
-
-
-class FPKSolver:
-    """The forward FPK sweep of one content: a one-lane batch.
-
-    A view of :class:`BatchedFPKSolver` over ``[config]``: ``solve``
-    adds the lane axis, runs the batched sweep and drops the axis
-    again.  ``telemetry`` is optional and only consulted on failure
-    paths (the zero-mass guard of the renormalisation); passing it lets
-    a dying forward sweep record a ``diag.density.zero_mass`` event
-    (tagged ``content=0``) before raising.  ``batch`` is the underlying
-    one-lane solver.
-    """
-
-    def __init__(
-        self, config: MFGCPConfig, grid: BatchGrid, telemetry=None
-    ) -> None:
-        self.config = config
-        self.grid = grid
-        self.telemetry = telemetry
-        self.batch = BatchedFPKSolver([config], grid, telemetry=telemetry)
-
-    def stable_step(self) -> float:
-        """The CFL-stable explicit time step for this configuration."""
-        return float(self.batch.stable_steps[0])
-
-    def substeps_per_interval(self) -> int:
-        """Number of CFL substeps per reporting interval."""
-        return int(self.batch.substeps[0])
-
-    def solve(
-        self,
-        policy_table: np.ndarray,
-        density0: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Forward sweep from ``lambda(0)`` under the given policy.
-
-        Parameters
-        ----------
-        policy_table:
-            ``x*(t, h, q)`` of shape ``(n_t + 1, n_h, n_q)`` — each
-            reporting interval uses its left-endpoint policy sheet.
-        density0:
-            Initial density; defaults to :func:`initial_density`.
-
-        Returns
-        -------
-        numpy.ndarray
-            Density path of shape ``(n_t + 1, n_h, n_q)`` with unit
-            mass at every reporting time.
-        """
-        policy_table = np.asarray(policy_table, dtype=float)
-        if policy_table.shape != self.grid.path_shape[1:]:
-            raise ValueError(
-                f"policy table shape {policy_table.shape} != grid "
-                f"{self.grid.path_shape[1:]}"
-            )
-        if density0 is not None:
-            density0 = np.asarray(density0, dtype=float)[None]
-        return self.batch.solve(policy_table[None], density0)[0]

@@ -32,7 +32,7 @@ advection uses plain sign-upwinding; diffusion is central; time
 stepping is explicit Euler with CFL sub-division.
 
 The sweep carries a leading content-lane axis
-(:class:`BatchedHJBSolver`); :class:`HJBSolver` is its one-lane view.
+(:class:`BatchedHJBSolver`); a single content is the batch of one lane.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from repro.core.operators import (
 )
 from repro.core.parameters import MFGCPConfig
 from repro.core.policy import CachingPolicy
-from repro.economics.utility import MarketContext
 
 T = TypeVar("T")
 
@@ -192,9 +191,9 @@ class BatchedHJBSolver:
     """The backward Godunov sweep of Eq. (20) over a batch of content lanes.
 
     This is the one HJB implementation; a single content is the batch
-    of one lane (:class:`HJBSolver`).  Lanes share the channel, caching
-    and economic parameters (:func:`validate_shared_lane_params`) and
-    differ in their demand fields, so the per-lane constants — drift
+    of one lane.  Lanes share the channel, caching and economic
+    parameters (:func:`validate_shared_lane_params`) and differ in
+    their demand fields, so the per-lane constants — drift
     constant ``c`` and balance point ``x_c``, linear utility coefficient
     ``a``, CFL step and substep count — are computed here per config,
     together with the parts of ``U(x = 0)`` that no market moves.
@@ -388,23 +387,53 @@ class BatchedHJBSolver:
             return income + cols.have * benefit - stale - share_cost
         return income - stale
 
-    def step_operator(
-        self, contexts: Sequence[MarketContext]
-    ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-        """Eq. (20)'s bracketed operator under fixed markets.
+    def residual_norm(
+        self,
+        lane: int,
+        value_path: np.ndarray,
+        mean_field: MeanFieldPath,
+        max_samples: int = 8,
+    ) -> float:
+        """Scale-free discrete residual of one lane's settled value path.
 
-        ``contexts`` holds the market each lane faces; ``U(x = 0)`` is
-        evaluated here, once.  The returned function maps value sheets
-        ``(B, n_h, n_q)`` to the operator and its maximising control.
+        Measures ``max_t || (V[t] - V[t+1]) / dt - L(V[t+1]; m(t)) ||_inf
+        / (1 + ||L||_inf)`` at up to ``max_samples`` evenly-spaced
+        reporting intervals, where ``L`` is the bracketed Eq. (20)
+        operator on lane ``lane``'s own columns and ``value_path`` is
+        that lane's ``(n_t + 1, n_h, n_q)`` path.  A healthy sweep
+        leaves O(dt) residual (substepping + the nonlinearity of the
+        Godunov Hamiltonian); NaN/Inf or an exploding value means the
+        backward sweep diverged.  This is a diagnostic for the
+        numerical-health probes, not a convergence criterion — it
+        reuses the solver's own discretisation so the number is
+        comparable across runs of the same grid.
         """
-        market = np.array(
-            [[c.n_requests, c.price, c.q_other, c.sharing_benefit] for c in contexts]
+        grid = self.grid
+        value_path = np.asarray(value_path, dtype=float)
+        if value_path.shape != grid.path_shape[1:]:
+            raise ValueError(
+                f"value path shape {value_path.shape} != grid {grid.path_shape[1:]}"
+            )
+        cols = self._columns(grid.indices([lane]))
+        n_int = grid.n_t
+        n_samples = max(1, min(int(max_samples), n_int))
+        indices = np.unique(
+            np.linspace(0, n_int - 1, n_samples).round().astype(int)
         )
-        cols = self._all
-        utility0 = self._utility0(market, cols)
-        return lambda values: self._step_rhs(
-            np.asarray(values, dtype=float), utility0, cols
-        )
+        worst = 0.0
+        for ti in indices:
+            ctx = mean_field.context(int(ti))
+            market = np.array(
+                [[ctx.n_requests, ctx.price, ctx.q_other, ctx.sharing_benefit]]
+            )
+            utility0 = self._utility0(market, cols)
+            rhs = self._step_rhs(value_path[ti + 1][None], utility0, cols)[0][0]
+            residual = (value_path[ti] - value_path[ti + 1]) / grid.dt - rhs
+            scale = 1.0 + float(np.max(np.abs(rhs)))
+            worst = max(worst, float(np.max(np.abs(residual))) / scale)
+            if not np.isfinite(worst):
+                return float("nan")
+        return worst
 
     def control_from_value(self, values: np.ndarray) -> np.ndarray:
         """The Godunov-consistent policy sheets of every lane's value sheet."""
@@ -499,96 +528,3 @@ class BatchedHJBSolver:
             value_path[:, ti] = value
         policy_path[:, 0] = self._godunov_q(value, cols)[1]
         return value_path, policy_path
-
-
-class HJBSolver:
-    """The backward HJB sweep of one content: a one-lane batch.
-
-    A view of :class:`BatchedHJBSolver` over ``[config]``: each method
-    adds the lane axis, runs the batched code and drops the axis again,
-    so a single-content solve is exactly the B=1 case of the batched
-    sweep.  ``batch`` is the underlying one-lane solver.
-    """
-
-    def __init__(self, config: MFGCPConfig, grid: BatchGrid) -> None:
-        self.config = config
-        self.grid = grid
-        self.batch = BatchedHJBSolver([config], grid)
-
-    def stable_step(self) -> float:
-        """The CFL-stable explicit time step for this configuration."""
-        return float(self.batch.stable_steps[0])
-
-    def substeps_per_interval(self) -> int:
-        """Number of CFL substeps per reporting interval."""
-        return int(self.batch.substeps[0])
-
-    def control_from_value(self, value: np.ndarray) -> np.ndarray:
-        """The Godunov-consistent policy for a value sheet."""
-        return self.batch.control_from_value(np.asarray(value, dtype=float)[None])[0]
-
-    def residual_norm(
-        self,
-        value_path: np.ndarray,
-        mean_field: MeanFieldPath,
-        max_samples: int = 8,
-    ) -> float:
-        """Scale-free discrete residual of a settled value path.
-
-        Measures ``max_t || (V[t] - V[t+1]) / dt - L(V[t+1]; m(t)) ||_inf
-        / (1 + ||L||_inf)`` at up to ``max_samples`` evenly-spaced
-        reporting intervals, where ``L`` is the bracketed Eq. (20)
-        operator.  A healthy sweep leaves O(dt) residual (substepping +
-        the nonlinearity of the Godunov Hamiltonian); NaN/Inf or an
-        exploding value means the backward sweep diverged.  This is a
-        diagnostic for the numerical-health probes, not a convergence
-        criterion — it reuses the solver's own discretisation so the
-        number is comparable across runs of the same grid.
-        """
-        grid = self.grid
-        value_path = np.asarray(value_path, dtype=float)
-        if value_path.shape != grid.path_shape[1:]:
-            raise ValueError(
-                f"value path shape {value_path.shape} != grid {grid.path_shape[1:]}"
-            )
-        n_int = grid.n_t
-        n_samples = max(1, min(int(max_samples), n_int))
-        indices = np.unique(
-            np.linspace(0, n_int - 1, n_samples).round().astype(int)
-        )
-        worst = 0.0
-        for ti in indices:
-            ctx = mean_field.context(int(ti))
-            rhs = self.batch.step_operator([ctx])(value_path[ti + 1][None])[0][0]
-            residual = (value_path[ti] - value_path[ti + 1]) / grid.dt - rhs
-            scale = 1.0 + float(np.max(np.abs(rhs)))
-            worst = max(worst, float(np.max(np.abs(residual))) / scale)
-            if not np.isfinite(worst):
-                return float("nan")
-        return worst
-
-    def solve(
-        self,
-        mean_field: MeanFieldPath,
-        terminal_value: Optional[np.ndarray] = None,
-    ) -> HJBSolution:
-        """Backward sweep from ``V(T)`` to ``V(0)`` against a mean field.
-
-        Parameters
-        ----------
-        mean_field:
-            The estimator's market paths (price, peer state, sharing
-            benefit per reporting time).
-        terminal_value:
-            ``V(T, h, q)``; defaults to zero (no salvage value).
-        """
-        if terminal_value is not None:
-            terminal_value = np.asarray(terminal_value, dtype=float)[None]
-        values, policies = self.batch.solve(
-            [mean_field], terminal_value=terminal_value
-        )
-        return HJBSolution(
-            grid=self.grid,
-            value=values[0],
-            policy=CachingPolicy(grid=self.grid, table=policies[0]),
-        )

@@ -18,8 +18,12 @@ are exchangeable, so each class ``c`` gets its own generic player
 :class:`MultiPopulationIterator` runs the damped best-response loop
 jointly: every iteration solves one HJB per class against the shared
 market, then one FPK per class, then re-mixes the market.  With a
-single class it reduces exactly to
-:class:`repro.core.best_response.BestResponseIterator`.
+single class it targets the same equilibrium as
+:class:`repro.core.best_response.BestResponseIterator` by a different
+iteration — this loop damps the policy table, while Algorithm 2
+Anderson-mixes the mean-field path — so the two agree to within the
+convergence tolerance, not bit for bit, and take different numbers of
+iterations.
 
 Class configurations may differ in anything that does *not* change the
 market definition itself: radio parameters (base stations see better
@@ -32,16 +36,15 @@ a shared definition — and are validated at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.best_response import build_grid
 from repro.core.equilibrium import ConvergenceReport, EquilibriumResult, IterationRecord
-from repro.core.fpk import FPKSolver, initial_density
+from repro.core.fpk import BatchedFPKSolver, initial_density
 from repro.core.grid import BatchGrid
-from repro.core.hjb import HJBSolver
+from repro.core.hjb import BatchedHJBSolver
 from repro.core.mean_field import MeanFieldEstimator, MeanFieldPath
 from repro.core.parameters import MFGCPConfig
 from repro.core.policy import CachingPolicy
@@ -140,8 +143,10 @@ class MultiPopulationIterator:
             q_max=base.content_size,
             n_q=base.n_q,
         )
-        self.hjb = [HJBSolver(cfg, self.grid) for cfg in self.configs]
-        self.fpk = [FPKSolver(cfg, self.grid) for cfg in self.configs]
+        # One one-lane sweep per class: classes may differ in channel
+        # and caching parameters, which one batch must share.
+        self.hjb = [BatchedHJBSolver([cfg], self.grid) for cfg in self.configs]
+        self.fpk = [BatchedFPKSolver([cfg], self.grid) for cfg in self.configs]
         self.estimators = [
             MeanFieldEstimator(cfg, self.grid) for cfg in self.configs
         ]
@@ -213,7 +218,8 @@ class MultiPopulationIterator:
             for _ in range(n_classes)
         ]
         density_paths = [
-            self.fpk[c].solve(policies[c], densities0[c]) for c in range(n_classes)
+            self.fpk[c].solve(policies[c][None], densities0[c][None])[0]
+            for c in range(n_classes)
         ]
         class_paths = [
             self.estimators[c].estimate(density_paths[c], policies[c])
@@ -224,19 +230,23 @@ class MultiPopulationIterator:
         history: List[IterationRecord] = []
         converged = False
         policy_change = np.inf
-        solutions = None
+        values = None
         for iteration in range(1, base.max_iterations + 1):
-            solutions = [self.hjb[c].solve(market) for c in range(n_classes)]
+            sweeps = [self.hjb[c].solve([market]) for c in range(n_classes)]
+            values = [value[0] for value, _ in sweeps]
+            tables = [table[0] for _, table in sweeps]
             policy_change = max(
-                float(np.max(np.abs(solutions[c].policy.table - policies[c])))
+                float(np.max(np.abs(tables[c] - policies[c])))
                 for c in range(n_classes)
             )
             for c in range(n_classes):
                 policies[c] = (
                     (1.0 - base.damping) * policies[c]
-                    + base.damping * solutions[c].policy.table
+                    + base.damping * tables[c]
                 )
-                density_paths[c] = self.fpk[c].solve(policies[c], densities0[c])
+                density_paths[c] = self.fpk[c].solve(
+                    policies[c][None], densities0[c][None]
+                )[0]
                 class_paths[c] = self.estimators[c].estimate(
                     density_paths[c], policies[c]
                 )
@@ -256,7 +266,7 @@ class MultiPopulationIterator:
                 converged = True
                 break
 
-        assert solutions is not None
+        assert values is not None
         report = ConvergenceReport(
             converged=converged,
             n_iterations=len(history),
@@ -267,7 +277,7 @@ class MultiPopulationIterator:
             EquilibriumResult(
                 config=self.configs[c],
                 grid=self.grid,
-                value=solutions[c].value,
+                value=values[c],
                 policy=CachingPolicy(grid=self.grid, table=policies[c]),
                 density=density_paths[c],
                 # Each class's generic player faces the SHARED market.

@@ -14,7 +14,7 @@ solve the coupled HJB and FPK equations."  Two flavours are needed:
   keeps total probability mass exactly conserved, which the property
   tests assert.
 
-The solver stencils (``batched_*``) act on a stack of fields shaped
+The solver stencils act on a stack of fields shaped
 ``(B, n_h, n_q)`` — one lane per content, a single content being the
 batch of one — in a single numpy call.  ``axis`` names the *spatial*
 axis (0 = fading, 1 = cache); the leading batch axis is never mixed.
@@ -23,12 +23,12 @@ shape ``(B,)`` / ``(B, 1, 1)`` (each content's cache axis spans its own
 ``[0, Q_k]``).  Every stencil is elementwise along the batch axis, so
 lane ``b`` of the output does not depend on the other lanes.
 
-Two stencils come in two parts, so a sweep can compute the part that
-depends only on a velocity once per velocity field:
-:func:`batched_upwind_gradient` is :func:`upwind_sources` (which
-difference each node reads) then :func:`upwind_difference`, and
-:func:`batched_conservative_advection` is :func:`donor_cell_faces`
-(the upwind interface velocities) then :func:`donor_cell_divergence`.
+The two advection stencils come in two parts, so a sweep computes the
+part that depends only on a velocity once per velocity field: the
+upwind first derivative is :func:`upwind_sources` (which difference
+each node reads) then :func:`upwind_difference`, and the donor-cell
+flux divergence is :func:`donor_cell_faces` (the upwind interface
+velocities) then :func:`donor_cell_divergence`.
 
 :func:`central_gradient` acts on one 2-D ``(n_h, n_q)`` field; the
 reporting helpers use it to read ``d_q V`` off a solved value sheet.
@@ -183,34 +183,6 @@ def upwind_difference(
     return np.take_along_axis(diff, index, axis=axis + 1)
 
 
-def batched_upwind_gradient(
-    field: np.ndarray, spacing, velocity: np.ndarray, axis: int
-) -> np.ndarray:
-    """First derivative over ``(B, n_h, n_q)`` lanes, upwinded by drift sign.
-
-    :func:`upwind_difference` with the :func:`upwind_sources` of
-    ``velocity``, which broadcasts against the field (per-lane drift
-    tables or a shared ``(n_h, 1)`` profile alike); ``spacing`` may be
-    per lane.
-    """
-    field = _check_batched("field", field)
-    _sides(axis)
-    sources = upwind_sources(velocity, field.shape[axis + 1], axis)
-    return upwind_difference(field, spacing, sources, axis)
-
-
-def batched_central_gradient(field: np.ndarray, spacing, axis: int) -> np.ndarray:
-    """:func:`central_gradient` of every lane of a ``(B, n_h, n_q)`` stack."""
-    field = _check_batched("field", field)
-    spacing = _batched_spacing(spacing, field.shape[0])
-    sides = _sides(axis)
-    grad = np.empty_like(field)
-    grad[sides.inner] = (field[sides.high2] - field[sides.low2]) / (2.0 * spacing)
-    grad[sides.first] = (field[sides.second] - field[sides.first]) / spacing
-    grad[sides.last] = (field[sides.last] - field[sides.penult]) / spacing
-    return grad
-
-
 def batched_second_derivative(field: np.ndarray, spacing, axis: int) -> np.ndarray:
     """Central second derivative over ``(B, n_h, n_q)`` lanes.
 
@@ -288,21 +260,6 @@ def donor_cell_divergence(density: np.ndarray, faces, spacing, axis: int) -> np.
     np.negative(update, out=update)
     update /= spacing
     return update
-
-
-def batched_conservative_advection(
-    density: np.ndarray, velocity: np.ndarray, spacing, axis: int
-) -> np.ndarray:
-    """``-d(v * rho)/dx`` over ``(B, n_h, n_q)`` lanes, donor-cell fluxes.
-
-    :func:`donor_cell_divergence` of the faces of ``velocity``, which
-    broadcasts against the density.
-    """
-    density = _check_batched("density", density)
-    velocity = np.broadcast_to(np.asarray(velocity, dtype=float), density.shape)
-    return donor_cell_divergence(
-        density, donor_cell_faces(velocity, axis), spacing, axis
-    )
 
 
 def batched_conservative_diffusion(

@@ -125,7 +125,12 @@ class SLHJBSolver:
         mean_field: MeanFieldPath,
         terminal_value: Optional[np.ndarray] = None,
     ) -> "HJBSolutionLike":
-        """Backward sweep; same contract as ``HJBSolver.solve``."""
+        """Backward sweep of one content from ``V(T)`` against ``mean_field``.
+
+        ``terminal_value`` is an ``(n_h, n_q)`` sheet (default zero);
+        the returned :class:`~repro.core.hjb.HJBSolution` holds the
+        ``(n_t + 1, n_h, n_q)`` value path and policy table.
+        """
         from repro.core.hjb import HJBSolution
 
         grid = self.grid
@@ -188,7 +193,12 @@ class SLFPKSolver:
         policy_table: np.ndarray,
         density0: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Forward sweep; same contract as ``FPKSolver.solve``."""
+        """Forward sweep of one content from ``lambda(0)`` under a policy.
+
+        ``policy_table`` is ``(n_t + 1, n_h, n_q)``; ``density0``
+        defaults to :func:`~repro.core.fpk.initial_density`.  Returns
+        the density path, unit mass at every reporting time.
+        """
         grid = self.grid
         cfg = self.config
         policy_table = np.asarray(policy_table, dtype=float)

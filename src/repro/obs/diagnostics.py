@@ -12,8 +12,10 @@ module watches those invariants *live* and reports them as structured
 
 Probes implement the :class:`DiagnosticsProbe` protocol — three hooks
 mirroring the solve lifecycle — and are bundled by
-:class:`SolveDiagnostics`, which :class:`~repro.core.best_response.
-BestResponseIterator` drives.  Everything is gated on
+:class:`SolveDiagnostics`.  :class:`~repro.core.best_response.
+BatchedBestResponseIterator` drives one :class:`SolveDiagnostics` per
+content lane, and the contexts hand each probe the iterator's own
+batched sweeps plus that lane's index and paths.  Everything is gated on
 ``telemetry.enabled``: with the default :data:`~repro.obs.telemetry.
 NULL_TELEMETRY` the probes are never constructed and the solve pays a
 single boolean check per hook site.
@@ -46,9 +48,9 @@ from repro.obs.telemetry import SolverTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports obs)
     from repro.core.equilibrium import ConvergenceReport
-    from repro.core.fpk import FPKSolver
+    from repro.core.fpk import BatchedFPKSolver
     from repro.core.grid import BatchGrid
-    from repro.core.hjb import HJBSolution, HJBSolver
+    from repro.core.hjb import BatchedHJBSolver
     from repro.core.mean_field import MeanFieldPath
     from repro.core.parameters import MFGCPConfig
 
@@ -62,26 +64,38 @@ iteration — bounds the enabled-mode overhead independent of ``n_t``."""
 # ----------------------------------------------------------------------
 @dataclass
 class SolveStartContext:
-    """State available before the first best-response iteration."""
+    """State available before the first best-response iteration.
+
+    ``fpk`` and ``hjb`` are the iterator's batched sweeps; ``lane``
+    indexes this content's lane in them, and ``grid`` and ``config``
+    are that lane's own.
+    """
 
     telemetry: SolverTelemetry
     grid: "BatchGrid"
     config: "MFGCPConfig"
-    fpk: "FPKSolver"
-    hjb: "HJBSolver"
+    fpk: "BatchedFPKSolver"
+    hjb: "BatchedHJBSolver"
+    lane: int
 
 
 @dataclass
 class IterationContext:
-    """State available after one complete best-response iteration."""
+    """State available after one complete best-response iteration.
+
+    ``hjb`` is the iterator's batched sweep and ``lane`` this content's
+    lane in it; the paths are the lane's own ``(n_t + 1, n_h, n_q)``
+    arrays.
+    """
 
     telemetry: SolverTelemetry
     grid: "BatchGrid"
     config: "MFGCPConfig"
-    hjb: "HJBSolver"
+    hjb: "BatchedHJBSolver"
+    lane: int
     iteration: int
     density_path: np.ndarray
-    solution: "HJBSolution"
+    value_path: np.ndarray
     mean_field: "MeanFieldPath"
     policy_change: float
 
@@ -226,7 +240,10 @@ class HJBResidualProbe(_BaseProbe):
 
     def on_iteration(self, ctx: IterationContext) -> None:
         residual = ctx.hjb.residual_norm(
-            ctx.solution.value, ctx.mean_field, max_samples=MAX_RESIDUAL_SAMPLES
+            ctx.lane,
+            ctx.value_path,
+            ctx.mean_field,
+            max_samples=MAX_RESIDUAL_SAMPLES,
         )
         if not np.isfinite(residual):
             severity = "error"
@@ -247,11 +264,13 @@ class HJBResidualProbe(_BaseProbe):
 class CFLMarginProbe(_BaseProbe):
     """CFL stability margin of both explicit schemes, once per solve.
 
-    ``margin = dt_stable / dt_substep`` per solver; the substep count is
-    chosen as ``ceil(dt / dt_stable)`` so the margin is ≥ 1 whenever the
-    configuration came through the standard constructors.  A margin
-    below 1 (hand-built grid, edited substep count) means the explicit
-    update is operating outside its stability region — an error.
+    ``margin = dt_stable / dt_substep`` per solver, read off the lane's
+    entries of the sweeps' ``stable_steps`` and ``substeps``.  The
+    substep count is ``ceil(dt / dt_stable)``, so the margin is ≥ 1
+    whenever the configuration came through the standard constructors.
+    A margin below 1 (hand-built grid, edited substep count) means the
+    explicit update is operating outside its stability region — an
+    error.
     """
 
     name = "cfl.margin"
@@ -262,8 +281,8 @@ class CFLMarginProbe(_BaseProbe):
     def on_solve_start(self, ctx: SolveStartContext) -> None:
         dt = ctx.grid.dt
         for scheme, solver in (("fpk", ctx.fpk), ("hjb", ctx.hjb)):
-            dt_stable = solver.stable_step()
-            n_sub = solver.substeps_per_interval()
+            dt_stable = float(solver.stable_steps[ctx.lane])
+            n_sub = int(solver.substeps[ctx.lane])
             margin = float(dt_stable / (dt / n_sub))
             if not np.isfinite(margin) or margin < self.warn_below:
                 severity = "error"
@@ -403,10 +422,11 @@ def default_probes() -> List[DiagnosticsProbe]:
 class SolveDiagnostics:
     """Drives a probe set through one solve's lifecycle.
 
-    Constructed per :meth:`BestResponseIterator.solve` call (probes are
-    stateful across iterations), and only when telemetry is enabled —
-    the iterator guards every hook with ``tele.enabled`` so disabled
-    runs never touch this class.
+    :meth:`~repro.core.best_response.BatchedBestResponseIterator.solve`
+    constructs one per content lane per call (probes are stateful
+    across iterations), and only when telemetry is enabled — the
+    iterator guards every hook with ``tele.enabled`` so disabled runs
+    never touch this class.
 
     :class:`~repro.obs.telemetry.StrictNumericsError` raised by a probe
     (strict mode) propagates; any *other* probe failure is demoted to a

@@ -30,12 +30,12 @@ from repro.core.fpk import BatchedFPKSolver, batched_initial_density, initial_de
 from repro.core.hjb import BatchedHJBSolver, validate_shared_lane_params
 from repro.core.mean_field import MeanFieldEstimator
 from repro.core.operators import (
-    batched_central_gradient,
-    batched_conservative_advection,
     batched_conservative_diffusion,
     batched_second_derivative,
-    batched_upwind_gradient,
-    central_gradient,
+    donor_cell_divergence,
+    donor_cell_faces,
+    upwind_difference,
+    upwind_sources,
 )
 from repro.core.parameters import MFGCPConfig
 from repro.obs.telemetry import SolverTelemetry, StrictNumericsError
@@ -71,7 +71,10 @@ def lane_configs():
 
 
 class TestBatchedOperators:
-    """Each batched stencil must equal the 2-D reference stencil per lane."""
+    """Each batched stencil must equal the 2-D reference stencil per lane.
+
+    The advection stencils run in the two parts the sweeps call.
+    """
 
     @pytest.fixture()
     def fields(self):
@@ -84,19 +87,11 @@ class TestBatchedOperators:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_upwind_gradient(self, fields, axis):
         f, v, s = fields
-        out = batched_upwind_gradient(f, s, v, axis=axis)
+        sources = upwind_sources(v, f.shape[axis + 1], axis=axis)
+        out = upwind_difference(f, s, sources, axis=axis)
         for b in range(3):
             expected = upwind_gradient(f[b], float(s[b]), v[b], axis=axis)
             assert np.array_equal(out[b], expected)
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_central_gradient(self, fields, axis):
-        f, _, s = fields
-        out = batched_central_gradient(f, s, axis=axis)
-        for b in range(3):
-            assert np.array_equal(
-                out[b], central_gradient(f[b], float(s[b]), axis=axis)
-            )
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_second_derivative(self, fields, axis):
@@ -111,7 +106,8 @@ class TestBatchedOperators:
     def test_conservative_advection(self, fields, axis):
         f, v, s = fields
         density = np.abs(f)
-        out = batched_conservative_advection(density, v, s, axis=axis)
+        faces = donor_cell_faces(v, axis=axis)
+        out = donor_cell_divergence(density, faces, s, axis=axis)
         for b in range(3):
             expected = conservative_advection(
                 density[b], v[b], float(s[b]), axis=axis
@@ -128,13 +124,14 @@ class TestBatchedOperators:
 
     def test_shared_scalar_spacing_accepted(self, fields):
         f, _, s = fields
-        out = batched_central_gradient(f, 0.4, axis=0)
+        out = batched_second_derivative(f, 0.4, axis=0)
         for b in range(3):
-            assert np.array_equal(out[b], central_gradient(f[b], 0.4, axis=0))
+            assert np.array_equal(out[b], second_derivative(f[b], 0.4, axis=0))
 
     def test_rejects_non_batched_rank(self):
+        sources = upwind_sources(np.ones((4, 5)), 4, axis=0)
         with pytest.raises(ValueError, match="3-D"):
-            batched_central_gradient(np.zeros((4, 5)), 0.1, axis=0)
+            upwind_difference(np.zeros((4, 5)), 0.1, sources, axis=0)
 
 
 class TestBatchGrid:
@@ -364,29 +361,53 @@ class TestBatchedBestResponse:
 
 
 class TestPerLaneDiagnostics:
-    def test_all_probes_emit_per_lane_events(self):
-        # The trend probe needs three iterations; at the default
-        # tolerance the first lane converges after two.
-        configs = [replace(cfg, tolerance=1e-5) for cfg in lane_configs()]
+    CHECKS = (
+        "diag.fpk.mass_drift",
+        "diag.density.health",
+        "diag.hjb.residual",
+        "diag.cfl.margin",
+        "diag.exploitability",
+        "diag.exploitability.trend",
+    )
+
+    @staticmethod
+    def diag_events(configs, content_ids):
+        """Every diag.* event of one solve, without its sequence number."""
         telemetry = SolverTelemetry.buffered()
         BatchedBestResponseIterator(
-            configs, content_ids=[11, 22, 33], telemetry=telemetry
+            configs, content_ids=content_ids, telemetry=telemetry
         ).solve()
+        return [
+            {k: v for k, v in event.items() if k != "seq"}
+            for event in telemetry.sink.events
+            if event["ev"].startswith("diag.")
+        ]
+
+    @pytest.fixture(scope="class")
+    def configs(self):
+        # The trend probe needs three iterations; at the default
+        # tolerance the first lane converges after two.
+        return [replace(cfg, tolerance=1e-5) for cfg in lane_configs()]
+
+    @pytest.fixture(scope="class")
+    def batched(self, configs):
+        return self.diag_events(configs, [11, 22, 33])
+
+    def test_all_probes_emit_per_lane_events(self, batched):
         lanes_by_check = {}
-        for event in telemetry.sink.events:
-            if event["ev"].startswith("diag."):
-                lanes_by_check.setdefault(event["ev"], set()).add(
-                    event.get("content")
-                )
-        for check in (
-            "diag.fpk.mass_drift",
-            "diag.density.health",
-            "diag.hjb.residual",
-            "diag.cfl.margin",
-            "diag.exploitability",
-            "diag.exploitability.trend",
-        ):
+        for event in batched:
+            lanes_by_check.setdefault(event["ev"], set()).add(event.get("content"))
+        for check in self.CHECKS:
             assert lanes_by_check.get(check) == {11, 22, 33}, check
+
+    def test_lane_diag_values_equal_one_lane_solves(self, configs, batched):
+        # The probes read a lane's own columns of the batched sweeps, so
+        # every diag.* event of a lane — keys and values, bit for bit —
+        # equals the same content's one-lane solve.
+        for cfg, content in zip(configs, [11, 22, 33]):
+            lane = [e for e in batched if e.get("content") == content]
+            assert {e["ev"] for e in lane} >= set(self.CHECKS)
+            assert lane == self.diag_events([cfg], [content]), content
 
     def test_strict_numerics_failure_names_content(self):
         # A lane-tagged telemetry escalation must say which content

@@ -10,7 +10,7 @@ from repro.core.best_response import (
     BestResponseIterator,
     build_grid,
 )
-from repro.core.hjb import HJBSolver
+from repro.core.hjb import BatchedHJBSolver
 from repro.core.parameters import MFGCPConfig
 
 
@@ -62,9 +62,9 @@ class TestSolve:
 
     def test_equilibrium_is_fixed_point(self, fast_config, solved_equilibrium):
         # One more best-response sweep barely moves the policy.
-        hjb = HJBSolver(fast_config, solved_equilibrium.grid)
-        solution = hjb.solve(solved_equilibrium.mean_field)
-        gap = np.max(np.abs(solution.policy.table - solved_equilibrium.policy.table))
+        hjb = BatchedHJBSolver([fast_config], solved_equilibrium.grid)
+        _, policies = hjb.solve([solved_equilibrium.mean_field])
+        gap = np.max(np.abs(policies[0] - solved_equilibrium.policy.table))
         assert gap < 10 * fast_config.tolerance
 
     def test_initial_policy_level_validated(self, fast_config):

@@ -50,16 +50,22 @@ class TestConstruction:
 
 class TestSingleClassReduction:
     def test_matches_single_population_solver(self, fast_config):
+        # One class reaches Algorithm 2's equilibrium by another
+        # iteration (policy damping, not Anderson mixing of the mean
+        # field), so the two agree to the stopping tolerance, not bit
+        # for bit.  On the fast config the gaps measure 1.6e-3 MB in
+        # mean_q, 1.2e-5 in price and 1.8e-5 relative in utility; each
+        # bound is five times its measured gap.
         multi = MultiPopulationIterator([fast_config], [1.0]).solve()
         single = BestResponseIterator(fast_config).solve()
         gap_q = np.max(
             np.abs(multi.market.mean_q - single.mean_field.mean_q)
         )
         gap_p = np.max(np.abs(multi.market.price - single.mean_field.price))
-        assert gap_q < 1.0, gap_q
-        assert gap_p < 0.01, gap_p
+        assert gap_q < 5 * 1.6e-3, gap_q
+        assert gap_p < 5 * 1.2e-5, gap_p
         assert multi.population_utility() == pytest.approx(
-            single.accumulated_utility()["total"], rel=0.05
+            single.accumulated_utility()["total"], rel=5 * 1.8e-5
         )
 
 

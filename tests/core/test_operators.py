@@ -2,19 +2,24 @@
 
 The solver stencils act on ``(B, n_h, n_q)`` lane stacks; every
 analytic check runs on a single lane (B=1) and on a stack of lanes
-with different per-lane spacings (B>1).
+with different per-lane spacings (B>1).  The two advection stencils
+are checked in the two parts the sweeps call: ``upwind_sources`` then
+``upwind_difference``, and ``donor_cell_faces`` then
+``donor_cell_divergence``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.operators import (
-    batched_conservative_advection,
     batched_conservative_diffusion,
     batched_second_derivative,
-    batched_upwind_gradient,
     central_gradient,
+    donor_cell_divergence,
+    donor_cell_faces,
     stable_time_step,
+    upwind_difference,
+    upwind_sources,
 )
 
 
@@ -44,9 +49,8 @@ class TestGradients:
             field = lanes(linear_field(), n_lanes)
             spacing = 0.5 * np.arange(1, n_lanes + 1)
             for vel in (+1.0, -1.0):
-                gh = batched_upwind_gradient(
-                    field, spacing, np.full(field.shape, vel), axis=0
-                )
+                sources = upwind_sources(np.full(field.shape, vel), 6, axis=0)
+                gh = upwind_difference(field, spacing, sources, axis=0)
                 for b in range(n_lanes):
                     assert np.allclose(gh[b], 2.0 / (b + 1))
 
@@ -56,8 +60,12 @@ class TestGradients:
             field = np.zeros((n_lanes, 1, 5))
             field[:, 0] = [0.0, 0.0, 1.0, 0.0, 0.0]
             ones = np.ones(field.shape)
-            back = batched_upwind_gradient(field, 1.0, ones, axis=1)
-            fwd = batched_upwind_gradient(field, 1.0, -ones, axis=1)
+            back = upwind_difference(
+                field, 1.0, upwind_sources(ones, 5, axis=1), axis=1
+            )
+            fwd = upwind_difference(
+                field, 1.0, upwind_sources(-ones, 5, axis=1), axis=1
+            )
             # At the peak: backward difference sees +1, forward sees -1.
             assert np.all(back[:, 0, 2] == pytest.approx(1.0))
             assert np.all(fwd[:, 0, 2] == pytest.approx(-1.0))
@@ -74,8 +82,10 @@ class TestGradients:
         with pytest.raises(ValueError, match="axis"):
             central_gradient(np.ones((3, 3)), 1.0, axis=2)
         with pytest.raises(ValueError, match="axis"):
-            batched_upwind_gradient(
-                np.ones((1, 3, 3)), 1.0, np.ones((1, 3, 3)), axis=-1
+            upwind_sources(np.ones((1, 3, 3)), 3, axis=-1)
+        with pytest.raises(ValueError, match="axis"):
+            upwind_difference(
+                np.ones((1, 3, 3)), 1.0, np.zeros((3, 1), int), axis=-1
             )
 
     def test_rejects_bad_spacing(self):
@@ -99,18 +109,16 @@ class TestConservativeOperators:
             velocity = rng.uniform(-2, 2, (n_lanes, 6, 10))
             spacing = rng.uniform(0.3, 1.2, n_lanes)
             for axis in (0, 1):
-                update = batched_conservative_advection(
-                    density, velocity, spacing, axis=axis
-                )
+                faces = donor_cell_faces(velocity, axis=axis)
+                update = donor_cell_divergence(density, faces, spacing, axis=axis)
                 assert np.all(np.abs(update.sum(axis=(1, 2))) < 1e-12)
 
     def test_advection_moves_mass_downstream(self):
         for n_lanes in (1, 3):
             density = np.zeros((n_lanes, 1, 9))
             density[:, 0, 4] = 1.0
-            update = batched_conservative_advection(
-                density, np.ones(density.shape), 1.0, axis=1
-            )
+            faces = donor_cell_faces(np.ones(density.shape), axis=1)
+            update = donor_cell_divergence(density, faces, 1.0, axis=1)
             # Positive velocity drains cell 4 into cell 5.
             assert np.all(update[:, 0, 4] < 0)
             assert np.all(update[:, 0, 5] > 0)
@@ -142,16 +150,15 @@ class TestConservativeOperators:
         )
 
     def test_validation(self):
+        faces = donor_cell_faces(np.ones((1, 2, 2)), 1)
         with pytest.raises(ValueError, match="spacing"):
-            batched_conservative_advection(
-                np.ones((1, 2, 2)), np.ones((1, 2, 2)), 0.0, 1
-            )
+            donor_cell_divergence(np.ones((1, 2, 2)), faces, 0.0, 1)
         with pytest.raises(ValueError, match="diffusivity"):
             batched_conservative_diffusion(np.ones((1, 2, 2)), -1.0, 1.0, 1)
         with pytest.raises(ValueError, match="axis"):
-            batched_conservative_advection(
-                np.ones((1, 2, 2)), np.ones((1, 2, 2)), 1.0, 3
-            )
+            donor_cell_faces(np.ones((1, 2, 2)), 3)
+        with pytest.raises(ValueError, match="axis"):
+            donor_cell_divergence(np.ones((1, 2, 2)), faces, 1.0, 3)
         with pytest.raises(ValueError, match="per-lane spacing"):
             batched_conservative_diffusion(np.ones((2, 2, 2)), 1.0, [1.0], 1)
 

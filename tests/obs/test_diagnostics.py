@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.best_response import BestResponseIterator
-from repro.core.fpk import FPKSolver
+from repro.core.fpk import BatchedFPKSolver
 from repro.core.best_response import build_grid
 from repro.core.parameters import MFGCPConfig
 from repro.obs import (
@@ -255,11 +255,8 @@ class TestZeroMassDiagnostic:
         config = tiny_config()
         grid = build_grid(config)
         tele = SolverTelemetry.buffered()
-        solver = FPKSolver(config, grid, telemetry=tele)
+        solver = BatchedFPKSolver([config], grid, telemetry=tele)
         with pytest.raises(ValueError, match="zero mass"):
-            solver.solve(
-                np.zeros(grid.path_shape[1:]),
-                density0=np.zeros((grid.n_h, grid.n_q)),
-            )
+            solver.solve(np.zeros(grid.path_shape), density0=np.zeros(grid.shape))
         assert any(e["ev"] == "diag.density.zero_mass"
                    for e in tele.sink.events)

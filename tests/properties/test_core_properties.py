@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from repro.core.grid import BatchGrid
 from repro.core.knapsack import KnapsackItem, solve_01_knapsack, solve_fractional_knapsack
 from repro.core.operators import (
-    batched_conservative_advection,
     batched_conservative_diffusion,
+    donor_cell_divergence,
+    donor_cell_faces,
 )
 from repro.core.policy import optimal_control
 
@@ -100,7 +101,8 @@ class TestConservationProperties:
         velocity = rng.uniform(-3.0, 3.0, size=(n_lanes, 5, 8))
         spacings = spacing * rng.uniform(0.5, 2.0, size=n_lanes)
         for axis in (0, 1):
-            adv = batched_conservative_advection(density, velocity, spacings, axis)
+            faces = donor_cell_faces(velocity, axis)
+            adv = donor_cell_divergence(density, faces, spacings, axis)
             diff = batched_conservative_diffusion(
                 density, diffusivity, spacings, axis
             )
