@@ -27,7 +27,7 @@ interface as :class:`repro.core.best_response.BestResponseIterator`.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

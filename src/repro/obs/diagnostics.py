@@ -39,7 +39,7 @@ iteration, after the event is emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Protocol, Sequence
 
 import numpy as np

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.best_response import build_grid
 from repro.core.fpk import BatchedFPKSolver, initial_density
-from repro.core.parameters import CachingParameters, ChannelParameters, MFGCPConfig
+from repro.core.parameters import CachingParameters, ChannelParameters
 
 
 @pytest.fixture

@@ -5,11 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.best_response import (
-    BestResponseIterator,
-    build_batch_grid,
-    build_grid,
-)
+from repro.core.best_response import build_batch_grid, build_grid
 from repro.core.hjb import BatchedHJBSolver
 from repro.core.mean_field import MeanFieldEstimator
 from repro.core.parameters import MFGCPConfig
